@@ -147,15 +147,30 @@ bool LowerPlan(const PlanPtr& plan, KernelSpec* spec) {
   // An Aggregate with no aggregate functions is a DISTINCT dedup wrapper
   // (sql_parser.cpp); the fused kernels only lower real aggregations.
   if (plan->aggregates.empty()) return false;
-  spec->has_group = !plan->group_by.empty();
-  if (spec->has_group) spec->group_col = plan->group_by[0];
   const PlanNode& scan = *plan->children[0];
+  // Group keys and aggregate inputs index the scan's emitted columns; the
+  // kernel reads table columns, so a pruned scan maps them back. (The
+  // pushed predicate is in table space already.)
+  const std::vector<size_t>* pruned = scan.scan_columns ? &*scan.scan_columns : nullptr;
+  spec->has_group = !plan->group_by.empty();
+  if (spec->has_group) {
+    spec->group_col = plan->group_by[0];
+    if (pruned != nullptr) {
+      if (spec->group_col >= pruned->size()) return false;
+      spec->group_col = (*pruned)[spec->group_col];
+    }
+  }
   if (!CompilePredicate(scan.scan_predicate, &spec->slots, &spec->checks)) return false;
   for (const AggSpec& agg : plan->aggregates) {
     CompiledAgg ca;
     ca.func = agg.func;
     if (agg.input) {
-      if (!CompileArith(agg.input, &spec->slots, &ca.prog)) return false;
+      ExprPtr input = agg.input;
+      if (pruned != nullptr) {
+        if (input->MaxColumnIndex() >= static_cast<int>(pruned->size())) return false;
+        input = RemapColumns(input, *pruned);
+      }
+      if (!CompileArith(input, &spec->slots, &ca.prog)) return false;
       if (ca.prog.size() > 15) return false;  // stack bound
     }
     spec->aggs.push_back(std::move(ca));

@@ -193,6 +193,10 @@ bool TryIdRangePredicate(const ColumnTable::ReadGuard& guard, const Expr& pred,
     case CmpOp::kNe:
       return false;
   }
+  // NULL sorts first in the dictionary but satisfies no comparison: every
+  // range starts after it, and a NULL literal matches nothing.
+  if (dict.size() > 0 && dict.At(0).is_null()) lo = std::max<uint64_t>(lo, 1);
+  if (v.is_null()) lo = hi = 0;
   *col_out = col;
   *lo_out = lo;
   *hi_out = hi;
@@ -325,35 +329,32 @@ StatusOr<ResultSet> Executor::Dispatch(const PlanNode& node) {
   return Status::Internal("unknown plan node");
 }
 
-void Executor::ScanMorsel(const ColumnTable::ReadGuard& guard,
-                          const ExprPtr& predicate, bool use_range,
-                          size_t range_col, uint64_t lo, uint64_t hi,
+void Executor::ScanMorsel(const ColumnTable::ReadGuard& guard, const ScanSpec& spec,
                           uint64_t begin, uint64_t end, ResultSet* out,
                           ExecStats* stats) const {
-  size_t ncols = guard.num_columns();
-  uint64_t main_size = ncols ? guard.col(0).main_size() : 0;
+  uint64_t main_size = guard.num_columns() ? guard.col(0).main_size() : 0;
+  // One probe row per morsel, in table-column space: a row that needs the
+  // predicate loads only the predicate's columns into it.
+  Row probe(spec.predicate ? guard.num_columns() : 0);
   guard.ScanVisibleRange(view_, begin, end, [&](uint64_t r) {
     ++stats->rows_scanned;
-    if (use_range && r < main_size) {
-      uint64_t id = guard.col(range_col).MainId(r);
-      if (id < lo || id >= hi) return;
-    } else if (predicate) {
-      Row probe = guard.GetRow(r);
-      if (!predicate->EvalBool(probe)) return;
-      ++stats->rows_materialized;
-      out->rows.push_back(std::move(probe));
-      return;
+    if (spec.use_range && r < main_size) {
+      uint64_t id = guard.col(spec.range_col).MainId(r);
+      if (id < spec.lo || id >= spec.hi) return;
+    } else if (spec.predicate) {
+      for (size_t c : spec.pred_cols) probe[c] = guard.GetValue(r, c);
+      if (!spec.predicate->EvalBool(probe)) return;
     }
     Row row;
-    row.reserve(ncols);
-    for (size_t c = 0; c < ncols; ++c) row.push_back(guard.GetValue(r, c));
+    row.reserve(spec.emit.size());
+    for (size_t c : spec.emit) row.push_back(guard.GetValue(r, c));
     ++stats->rows_materialized;
     out->rows.push_back(std::move(row));
   });
 }
 
 Status Executor::ScanOneTable(const ColumnTable& table, const ExprPtr& predicate,
-                              ResultSet* out) {
+                              const std::vector<size_t>& emit, ResultSet* out) {
   ++stats_.partitions_scanned;
 
   // ONE unified guard per table scan (DESIGN.md §12.5): a single epoch pin
@@ -364,17 +365,25 @@ Status Executor::ScanOneTable(const ColumnTable& table, const ExprPtr& predicate
   // Vacuum. The guard is immutable, so all morsel workers share it.
   ColumnTable::ReadGuard guard(&table);
 
-  size_t range_col = 0;
-  uint64_t lo = 0, hi = 0;
-  bool use_range =
-      predicate && TryIdRangePredicate(guard, *predicate, &range_col, &lo, &hi);
-  if (use_range) ++stats_.id_range_scans;
+  ScanSpec spec;
+  spec.emit = emit;
+  if (predicate) {
+    spec.predicate = predicate.get();
+    std::set<size_t> cols;
+    predicate->CollectColumns(&cols);
+    for (size_t c : cols) {
+      if (c < guard.num_columns()) spec.pred_cols.push_back(c);  // else NULL
+    }
+    spec.use_range = TryIdRangePredicate(guard, *predicate, &spec.range_col, &spec.lo,
+                                         &spec.hi);
+  }
+  if (spec.use_range) ++stats_.id_range_scans;
 
   uint64_t n = guard.size();
   ThreadPool* tp = pool();
   uint64_t morsel = morsel_rows();
   if (tp == nullptr || n <= morsel) {
-    ScanMorsel(guard, predicate, use_range, range_col, lo, hi, 0, n, out, &stats_);
+    ScanMorsel(guard, spec, 0, n, out, &stats_);
     return Status::OK();
   }
 
@@ -388,8 +397,8 @@ Status Executor::ScanOneTable(const ColumnTable& table, const ExprPtr& predicate
       num_morsels,
       [&](size_t m) {
         uint64_t begin = m * morsel;
-        ScanMorsel(guard, predicate, use_range, range_col, lo, hi, begin,
-                   std::min<uint64_t>(n, begin + morsel), &frags[m], &local[m]);
+        ScanMorsel(guard, spec, begin, std::min<uint64_t>(n, begin + morsel), &frags[m],
+                   &local[m]);
       },
       /*grain=*/1);
   size_t total = out->rows.size();
@@ -442,21 +451,32 @@ StatusOr<ResultSet> Executor::ExecScan(const PlanNode& node) {
       }
     }
     POLY_ASSIGN_OR_RETURN(std::shared_ptr<ColumnTable> table, std::move(pinned));
-    if (first) {
-      for (size_t c = 0; c < table->schema().num_columns(); ++c) {
-        out.column_names.push_back(table->schema().column(c).name);
+    const Schema& schema = table->schema();
+    // The pruned column list from the optimizer, else the whole row.
+    std::vector<size_t> emit;
+    if (node.scan_columns) {
+      emit = *node.scan_columns;
+      for (size_t c : emit) {
+        if (c >= schema.num_columns()) {
+          return Status::InvalidArgument("scan column out of range for " + name);
+        }
       }
+    } else {
+      for (size_t c = 0; c < schema.num_columns(); ++c) emit.push_back(c);
+    }
+    if (first) {
+      out.column_names = ScanOutputColumns(node, schema);
       first = false;
     }
     uint64_t scanned_before = stats_.rows_scanned;
     uint64_t ranges_before = stats_.id_range_scans;
     size_t rows_before = out.rows.size();
-    POLY_RETURN_IF_ERROR(ScanOneTable(*table, node.scan_predicate, &out));
+    POLY_RETURN_IF_ERROR(ScanOneTable(*table, node.scan_predicate, emit, &out));
     bool aged = name.size() > 5 && name.compare(name.size() - 5, 5, "$aged") == 0;
     (aged ? aged_scans : hot_scans)->Add(1);
     (aged ? aged_rows : hot_rows)->Add(stats_.rows_scanned - scanned_before);
     uint64_t produced = out.rows.size() - rows_before;
-    uint64_t bytes = produced * table->schema().num_columns() * 8;
+    uint64_t bytes = produced * emit.size() * 8;
     (aged ? aged_bytes : hot_bytes)->Add(bytes);
     if (opts_.track_access) {
       if (AccessObserver* observer = db_->access_observer()) {
@@ -465,10 +485,12 @@ StatusOr<ResultSet> Executor::ExecScan(const PlanNode& node) {
         event.rows_scanned = stats_.rows_scanned - scanned_before;
         event.bytes = bytes;
         event.point_read = stats_.id_range_scans > ranges_before;
-        // This path materializes whole rows, so every schema column really
-        // was read — report them all for per-column heat.
-        for (size_t c = 0; c < table->schema().num_columns(); ++c) {
-          event.columns.push_back(table->schema().column(c).name);
+        // Per-column heat names exactly the columns this scan read: the
+        // emitted ones plus the predicate's.
+        std::set<size_t> read(emit.begin(), emit.end());
+        if (node.scan_predicate) node.scan_predicate->CollectColumns(&read);
+        for (size_t c : read) {
+          if (c < schema.num_columns()) event.columns.push_back(schema.column(c).name);
         }
         observer->OnAccess(event);
       }

@@ -85,15 +85,25 @@ class Executor {
   Status ChargeInternal(uint64_t bytes) { return reservation_.Grow(bytes); }
   StatusOr<ResultSet> Dispatch(const PlanNode& node);
   StatusOr<ResultSet> ExecScan(const PlanNode& node);
+  /// Scans one table, emitting the table columns `emit` of each row that
+  /// passes `predicate` (table-column space).
   Status ScanOneTable(const ColumnTable& table, const ExprPtr& predicate,
-                      ResultSet* out);
+                      const std::vector<size_t>& emit, ResultSet* out);
+  /// What one table scan evaluates and emits, shared by all its morsels.
+  struct ScanSpec {
+    const Expr* predicate = nullptr;  ///< null = every visible row passes
+    std::vector<size_t> pred_cols;    ///< columns the predicate reads
+    bool use_range = false;           ///< main rows test a value-id range
+    size_t range_col = 0;
+    uint64_t lo = 0, hi = 0;
+    std::vector<size_t> emit;         ///< table columns of each output row
+  };
   /// Scans rows [begin, end) through `guard` into `out`, counting into
   /// `stats` (which may be a worker-local partial). One morsel of a scan.
   /// The guard is immutable and shared by every morsel of one table scan:
   /// one pin covers stamps and values for the whole fan-out (DESIGN.md
   /// §12.5).
-  void ScanMorsel(const ColumnTable::ReadGuard& guard, const ExprPtr& predicate,
-                  bool use_range, size_t range_col, uint64_t lo, uint64_t hi,
+  void ScanMorsel(const ColumnTable::ReadGuard& guard, const ScanSpec& spec,
                   uint64_t begin, uint64_t end, ResultSet* out,
                   ExecStats* stats) const;
   StatusOr<ResultSet> ExecFilter(const PlanNode& node);

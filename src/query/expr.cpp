@@ -74,10 +74,27 @@ ExprPtr Expr::IsNull(ExprPtr input) {
   return e;
 }
 
+namespace {
+
+bool IsIntOrDouble(const Value& v) {
+  return v.type() == DataType::kInt64 || v.type() == DataType::kDouble;
+}
+
+/// Equality consistent with Value's order: 5 = 5.0, as the dictionary
+/// lookup of an id-range scan finds it.
+bool ValuesEqual(const Value& lhs, const Value& rhs) {
+  if (lhs.type() != rhs.type() && IsIntOrDouble(lhs) && IsIntOrDouble(rhs)) {
+    return lhs.NumericValue() == rhs.NumericValue();
+  }
+  return lhs == rhs;
+}
+
+}  // namespace
+
 bool CompareValues(CmpOp op, const Value& lhs, const Value& rhs) {
   switch (op) {
-    case CmpOp::kEq: return lhs == rhs;
-    case CmpOp::kNe: return lhs != rhs;
+    case CmpOp::kEq: return ValuesEqual(lhs, rhs);
+    case CmpOp::kNe: return !ValuesEqual(lhs, rhs);
     case CmpOp::kLt: return lhs < rhs;
     case CmpOp::kLe: return !(rhs < lhs);
     case CmpOp::kGt: return rhs < lhs;
@@ -154,6 +171,41 @@ int Expr::MaxColumnIndex() const {
   if (left_) max_idx = std::max(max_idx, left_->MaxColumnIndex());
   if (right_) max_idx = std::max(max_idx, right_->MaxColumnIndex());
   return max_idx;
+}
+
+void Expr::CollectColumns(std::set<size_t>* out) const {
+  if (kind_ == ExprKind::kColumn) out->insert(column_index_);
+  if (left_) left_->CollectColumns(out);
+  if (right_) right_->CollectColumns(out);
+}
+
+ExprPtr RemapColumns(const ExprPtr& e, const std::vector<size_t>& map) {
+  if (!e) return e;
+  switch (e->kind()) {
+    case ExprKind::kColumn:
+      return Expr::Column(map[e->column_index()]);
+    case ExprKind::kLiteral:
+      return e;
+    case ExprKind::kCompare:
+      return Expr::Compare(e->cmp_op(), RemapColumns(e->left(), map),
+                           RemapColumns(e->right(), map));
+    case ExprKind::kAnd:
+      return Expr::And(RemapColumns(e->left(), map), RemapColumns(e->right(), map));
+    case ExprKind::kOr:
+      return Expr::Or(RemapColumns(e->left(), map), RemapColumns(e->right(), map));
+    case ExprKind::kNot:
+      return Expr::Not(RemapColumns(e->left(), map));
+    case ExprKind::kArithmetic:
+      return Expr::Arith(e->arith_op(), RemapColumns(e->left(), map),
+                         RemapColumns(e->right(), map));
+    case ExprKind::kLike:
+      return Expr::Like(RemapColumns(e->left(), map), e->pattern());
+    case ExprKind::kIn:
+      return Expr::In(RemapColumns(e->left(), map), e->candidates());
+    case ExprKind::kIsNull:
+      return Expr::IsNull(RemapColumns(e->left(), map));
+  }
+  return e;
 }
 
 std::string Expr::ToString() const {

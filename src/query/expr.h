@@ -2,6 +2,7 @@
 #define POLY_QUERY_EXPR_H_
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,8 @@ class Expr {
 
   /// Highest column index referenced, or -1 if none (for binding checks).
   int MaxColumnIndex() const;
+  /// Adds every column index referenced to `out`.
+  void CollectColumns(std::set<size_t>* out) const;
 
   std::string ToString() const;
 
@@ -83,8 +86,14 @@ class Expr {
 };
 
 /// True when `cmp` holds between two values (uses Value's total order with
-/// numeric cross-type comparison).
+/// numeric cross-type comparison; an int/double mix is also equal by
+/// numeric value, as in every main-store dictionary).
 bool CompareValues(CmpOp op, const Value& lhs, const Value& rhs);
+
+/// Copy of `e` with every column reference $i rewritten to $map[i]; every
+/// referenced column must have an entry. Moves expressions between row
+/// layouts (a join input's schema, a pruned scan's emitted columns).
+ExprPtr RemapColumns(const ExprPtr& e, const std::vector<size_t>& map);
 
 }  // namespace poly
 

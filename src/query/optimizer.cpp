@@ -1,5 +1,7 @@
 #include "query/optimizer.h"
 
+#include <algorithm>
+
 namespace poly {
 
 namespace {
@@ -74,7 +76,11 @@ ExprPtr Optimizer::FoldConstants(const ExprPtr& e) {
 
 PlanPtr Optimizer::Optimize(const PlanPtr& plan) {
   if (!plan) return plan;
-  return Rewrite(plan);
+  PlanPtr rewritten = Rewrite(plan);
+  if (db_ == nullptr) return rewritten;  // pruning needs table widths
+  // The root's whole output is the result: every column is needed.
+  ColumnMap root_map;
+  return PruneColumns(rewritten, /*need=*/nullptr, &root_map);
 }
 
 namespace {
@@ -102,32 +108,18 @@ ExprPtr AndAll(const std::vector<ExprPtr>& conjuncts) {
 /// join output schema into the right input's schema). All referenced
 /// columns must be >= shift.
 ExprPtr ShiftColumns(const ExprPtr& e, size_t shift) {
-  if (!e) return e;
-  switch (e->kind()) {
-    case ExprKind::kColumn:
-      return Expr::Column(e->column_index() - shift);
-    case ExprKind::kLiteral:
-      return e;
-    case ExprKind::kCompare:
-      return Expr::Compare(e->cmp_op(), ShiftColumns(e->left(), shift),
-                           ShiftColumns(e->right(), shift));
-    case ExprKind::kAnd:
-      return Expr::And(ShiftColumns(e->left(), shift), ShiftColumns(e->right(), shift));
-    case ExprKind::kOr:
-      return Expr::Or(ShiftColumns(e->left(), shift), ShiftColumns(e->right(), shift));
-    case ExprKind::kNot:
-      return Expr::Not(ShiftColumns(e->left(), shift));
-    case ExprKind::kArithmetic:
-      return Expr::Arith(e->arith_op(), ShiftColumns(e->left(), shift),
-                         ShiftColumns(e->right(), shift));
-    case ExprKind::kLike:
-      return Expr::Like(ShiftColumns(e->left(), shift), e->pattern());
-    case ExprKind::kIn:
-      return Expr::In(ShiftColumns(e->left(), shift), e->candidates());
-    case ExprKind::kIsNull:
-      return Expr::IsNull(ShiftColumns(e->left(), shift));
-  }
-  return e;
+  std::vector<size_t> map(static_cast<size_t>(e->MaxColumnIndex() + 1));
+  for (size_t c = shift; c < map.size(); ++c) map[c] = c - shift;
+  return RemapColumns(e, map);
+}
+
+/// Marks a column the pruned layout no longer carries.
+constexpr size_t kDropped = SIZE_MAX;
+
+std::vector<size_t> IdentityMap(size_t width) {
+  std::vector<size_t> map(width);
+  for (size_t c = 0; c < width; ++c) map[c] = c;
+  return map;
 }
 
 /// Min column index referenced, or SIZE_MAX if none.
@@ -162,6 +154,7 @@ int Optimizer::PlanWidth(const PlanNode& node) const {
   if (known >= 0) return known;
   switch (node.kind) {
     case PlanKind::kScan: {
+      if (node.scan_columns) return static_cast<int>(node.scan_columns->size());
       if (db_ == nullptr) return -1;
       auto t = db_->GetTable(node.scan_partitions.empty() ? node.table
                                                           : node.scan_partitions[0]);
@@ -252,6 +245,107 @@ PlanPtr Optimizer::Rewrite(const PlanPtr& node) {
         ++stats_.partitions_pruned;
       }
     }
+  }
+  return copy;
+}
+
+PlanPtr Optimizer::PruneColumns(const PlanPtr& node, const std::set<size_t>* need,
+                                ColumnMap* map) {
+  map->reset();
+  auto copy = std::make_shared<PlanNode>(*node);
+  switch (node->kind) {
+    case PlanKind::kScan: {
+      // The pushed predicate is evaluated in table space on its own probe,
+      // so only the parent's columns are emitted.
+      int width = PlanWidth(*node);
+      if (need == nullptr || width < 0 || node->scan_columns ||
+          need->size() == static_cast<size_t>(width) ||
+          (!need->empty() && *need->rbegin() >= static_cast<size_t>(width))) {
+        return node;
+      }
+      copy->scan_columns.emplace(need->begin(), need->end());
+      *map = std::vector<size_t>(static_cast<size_t>(width), kDropped);
+      for (size_t i = 0; i < copy->scan_columns->size(); ++i) {
+        (**map)[(*copy->scan_columns)[i]] = i;
+      }
+      return copy;
+    }
+    case PlanKind::kFilter:
+    case PlanKind::kSort:
+    case PlanKind::kLimit: {
+      // Row pass-through: the child's layout is this node's layout.
+      std::set<size_t> child_need;
+      if (need != nullptr) {
+        child_need = *need;
+        if (node->predicate) node->predicate->CollectColumns(&child_need);
+        for (const SortKey& key : node->sort_keys) child_need.insert(key.column);
+      }
+      copy->children[0] =
+          PruneColumns(node->children[0], need ? &child_need : nullptr, map);
+      if (*map) {
+        copy->predicate = RemapColumns(copy->predicate, **map);
+        for (SortKey& key : copy->sort_keys) key.column = (**map)[key.column];
+      }
+      return copy;
+    }
+    case PlanKind::kProject:
+    case PlanKind::kAggregate:
+    case PlanKind::kPartialAggregate: {
+      // A fresh output layout: the child owes only what these expressions
+      // read, whatever the parent needs.
+      std::set<size_t> child_need(node->group_by.begin(), node->group_by.end());
+      for (const ExprPtr& e : node->projections) e->CollectColumns(&child_need);
+      for (const AggSpec& agg : node->aggregates) {
+        if (agg.input) agg.input->CollectColumns(&child_need);
+      }
+      ColumnMap child_map;
+      copy->children[0] = PruneColumns(node->children[0], &child_need, &child_map);
+      if (child_map) {
+        for (ExprPtr& e : copy->projections) e = RemapColumns(e, *child_map);
+        for (size_t& g : copy->group_by) g = (*child_map)[g];
+        for (AggSpec& agg : copy->aggregates) agg.input = RemapColumns(agg.input, *child_map);
+      }
+      return copy;
+    }
+    case PlanKind::kHashJoin: {
+      int lw = PlanWidth(*node->children[0]);
+      int rw = PlanWidth(*node->children[1]);
+      if (need == nullptr || lw < 0 || rw < 0 || node->left_key >= static_cast<size_t>(lw) ||
+          node->right_key >= static_cast<size_t>(rw) ||
+          (!need->empty() && *need->rbegin() >= static_cast<size_t>(lw + rw))) {
+        break;
+      }
+      std::set<size_t> left_need = {node->left_key};
+      std::set<size_t> right_need = {node->right_key};
+      for (size_t c : *need) {
+        if (c < static_cast<size_t>(lw)) {
+          left_need.insert(c);
+        } else {
+          right_need.insert(c - static_cast<size_t>(lw));
+        }
+      }
+      ColumnMap lmap, rmap;
+      copy->children[0] = PruneColumns(node->children[0], &left_need, &lmap);
+      copy->children[1] = PruneColumns(node->children[1], &right_need, &rmap);
+      if (!lmap && !rmap) return copy;
+      std::vector<size_t> left = lmap ? *lmap : IdentityMap(static_cast<size_t>(lw));
+      std::vector<size_t> right = rmap ? *rmap : IdentityMap(static_cast<size_t>(rw));
+      copy->left_key = left[node->left_key];
+      copy->right_key = right[node->right_key];
+      size_t new_left_width = static_cast<size_t>(
+          std::count_if(left.begin(), left.end(), [](size_t c) { return c != kDropped; }));
+      for (size_t c : right) left.push_back(c == kDropped ? kDropped : new_left_width + c);
+      *map = std::move(left);
+      return copy;
+    }
+    default:
+      break;
+  }
+  // Anything else (exchanges, final aggregates, joins of unknown width)
+  // keeps its layout and reads its children whole.
+  for (auto& child : copy->children) {
+    ColumnMap unchanged;
+    child = PruneColumns(child, nullptr, &unchanged);
   }
   return copy;
 }

@@ -2,6 +2,8 @@
 #define POLY_QUERY_OPTIMIZER_H_
 
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -30,11 +32,13 @@ struct OptimizerStats {
 };
 
 /// Rule-based plan rewriter: predicate pushdown into scans, constant
-/// folding, trivial-filter elimination, and aging-rule partition pruning.
+/// folding, trivial-filter elimination, aging-rule partition pruning, and
+/// column pruning.
 class Optimizer {
  public:
-  /// `db` (optional) enables rules that need schema widths, e.g. pushing
-  /// filter conjuncts below hash joins; `pruner` enables partition pruning.
+  /// `db` (optional) enables rules that need schema widths: pushing filter
+  /// conjuncts below hash joins and column pruning; `pruner` enables
+  /// partition pruning.
   explicit Optimizer(const PartitionPruner* pruner = nullptr,
                      const Database* db = nullptr)
       : pruner_(pruner), db_(db) {}
@@ -49,6 +53,17 @@ class Optimizer {
 
  private:
   PlanPtr Rewrite(const PlanPtr& node);
+
+  /// Old -> new output column positions of a pruned subtree; empty when
+  /// the subtree's output layout did not change.
+  using ColumnMap = std::optional<std::vector<size_t>>;
+
+  /// Column pruning: rewrites `node` so its scans emit only the columns
+  /// the plan reads (PlanNode::scan_columns). `need` holds the output
+  /// columns the parent reads (null = all of them). When the node's output
+  /// layout changed, `*map` receives its ColumnMap, and the caller remaps
+  /// its own column references through it.
+  PlanPtr PruneColumns(const PlanPtr& node, const std::set<size_t>* need, ColumnMap* map);
 
   /// Output column count of a plan, or -1 if not derivable.
   int PlanWidth(const PlanNode& node) const;

@@ -2,6 +2,20 @@
 
 namespace poly {
 
+namespace {
+
+/// "[$a,$b,...]" for a list of column positions.
+std::string ColumnList(const std::vector<size_t>& cols) {
+  std::string out = "[";
+  for (size_t i = 0; i < cols.size(); ++i) {
+    if (i) out += ",";
+    out += "$" + std::to_string(cols[i]);
+  }
+  return out + "]";
+}
+
+}  // namespace
+
 std::string PlanNode::ToString(int indent) const {
   std::string pad(indent * 2, ' ');
   std::string out = pad;
@@ -9,6 +23,7 @@ std::string PlanNode::ToString(int indent) const {
     case PlanKind::kScan:
       out += "Scan(" + table;
       if (scan_predicate) out += ", pred=" + scan_predicate->ToString();
+      if (scan_columns) out += ", cols=" + ColumnList(*scan_columns);
       out += ")";
       break;
     case PlanKind::kFilter:
@@ -27,15 +42,10 @@ std::string PlanNode::ToString(int indent) const {
       out += "HashJoin(left.$" + std::to_string(left_key) + " = right.$" +
              std::to_string(right_key) + ")";
       break;
-    case PlanKind::kAggregate: {
-      out += "Aggregate(groups=[";
-      for (size_t i = 0; i < group_by.size(); ++i) {
-        if (i) out += ",";
-        out += "$" + std::to_string(group_by[i]);
-      }
-      out += "], aggs=" + std::to_string(aggregates.size()) + ")";
+    case PlanKind::kAggregate:
+      out += "Aggregate(groups=" + ColumnList(group_by) +
+             ", aggs=" + std::to_string(aggregates.size()) + ")";
       break;
-    }
     case PlanKind::kSort:
       out += "Sort(" + std::to_string(sort_keys.size()) + " keys)";
       break;
@@ -46,28 +56,16 @@ std::string PlanNode::ToString(int indent) const {
       switch (exchange_mode) {
         case ExchangeMode::kGather: out += "Exchange(gather)"; break;
         case ExchangeMode::kBroadcast: out += "Exchange(broadcast)"; break;
-        case ExchangeMode::kRepartition: {
-          out += "Exchange(repartition, keys=[";
-          for (size_t i = 0; i < exchange_keys.size(); ++i) {
-            if (i) out += ",";
-            out += "$" + std::to_string(exchange_keys[i]);
-          }
-          out += "])";
+        case ExchangeMode::kRepartition:
+          out += "Exchange(repartition, keys=" + ColumnList(exchange_keys) + ")";
           break;
-        }
       }
       break;
     }
-    case PlanKind::kPartialAggregate: {
-      out += "PartialAggregate(groups=[";
-      for (size_t i = 0; i < group_by.size(); ++i) {
-        if (i) out += ",";
-        out += "$" + std::to_string(group_by[i]);
-      }
-      out += "], slots=" +
+    case PlanKind::kPartialAggregate:
+      out += "PartialAggregate(groups=" + ColumnList(group_by) + ", slots=" +
              std::to_string(PartialAggLayout::For(aggregates).num_slots()) + ")";
       break;
-    }
     case PlanKind::kFinalAggregate:
       out += "FinalAggregate(keys=" + std::to_string(group_by.size()) +
              ", aggs=" + std::to_string(aggregates.size()) + ")";
@@ -199,6 +197,16 @@ PartialAggLayout PartialAggLayout::For(const std::vector<AggSpec>& user_aggs) {
     }
   }
   return layout;
+}
+
+std::vector<std::string> ScanOutputColumns(const PlanNode& scan, const Schema& schema) {
+  std::vector<std::string> names;
+  if (scan.scan_columns) {
+    for (size_t c : *scan.scan_columns) names.push_back(schema.column(c).name);
+  } else {
+    for (size_t c = 0; c < schema.num_columns(); ++c) names.push_back(schema.column(c).name);
+  }
+  return names;
 }
 
 PlanPtr RewriteScanTables(const PlanPtr& plan, const std::string& from,

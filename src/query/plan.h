@@ -2,6 +2,7 @@
 #define POLY_QUERY_PLAN_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,9 @@ struct PlanNode {
   std::string table;
   ExprPtr scan_predicate;                   ///< pushed down; may be null
   std::vector<std::string> scan_partitions; ///< pruned partition list (aging)
+  /// Column pruning: the table columns the scan emits, in this order
+  /// (absent = every column). `scan_predicate` stays in table-column space.
+  std::optional<std::vector<size_t>> scan_columns;
 
   // kFilter
   ExprPtr predicate;
@@ -136,6 +140,11 @@ struct PartialAggLayout {
   static PartialAggLayout For(const std::vector<AggSpec>& user_aggs);
   size_t num_slots() const { return partial_specs.size(); }
 };
+
+/// Names of the columns a scan over `schema` emits: `scan_columns` when
+/// the optimizer pruned it, else every schema column. Row width follows.
+/// Every entry of `scan_columns` must index `schema`.
+std::vector<std::string> ScanOutputColumns(const PlanNode& scan, const Schema& schema);
 
 /// Deep copy of `plan` with every scan of table `from` renamed to `to`.
 /// Fragment instantiation: the distributed planner emits logical table

@@ -59,15 +59,6 @@ std::string StageOutputName(size_t index) {
   return "__dist.x" + std::to_string(index);
 }
 
-std::vector<std::string> SchemaColumnNames(const Schema& schema) {
-  std::vector<std::string> names;
-  names.reserve(schema.num_columns());
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    names.push_back(schema.column(c).name);
-  }
-  return names;
-}
-
 PlanPtr ScanOf(const std::string& table) {
   auto scan = std::make_shared<PlanNode>();
   scan->kind = PlanKind::kScan;
@@ -166,9 +157,9 @@ StatusOr<bool> DistributedPlanner::LowerCore(const PlanNode& core, int live,
                      .Exchange(ExchangeMode::kGather)
                      .Build();
     stage.mode = ExchangeMode::kGather;
-    stage.output_width = info->schema.num_columns();
+    out->gather_columns = ScanOutputColumns(core, info->schema);
+    stage.output_width = out->gather_columns.size();
     stage.label = "scan(" + core.table + ")";
-    out->gather_columns = SchemaColumnNames(info->schema);
     out->stages.push_back(std::move(stage));
     out->strategy = "scan";
     return true;
@@ -188,7 +179,7 @@ StatusOr<bool> DistributedPlanner::LowerCore(const PlanNode& core, int live,
       site.label = "partial-aggregate(" + input->table + ")";
       LowerTwoPhaseAggregate(core, std::make_shared<PlanNode>(*input),
                              std::move(site), live,
-                             SchemaColumnNames(info->schema), out);
+                             ScanOutputColumns(*input, info->schema), out);
       out->strategy = "two-phase-aggregate";
       return true;
     }
@@ -265,16 +256,17 @@ StatusOr<bool> DistributedPlanner::LowerJoinInputs(const PlanNode& join,
                         catalog_->Lookup(left.table));
   POLY_ASSIGN_OR_RETURN(const CatalogService::TableInfo* rinfo,
                         catalog_->Lookup(right.table));
-  size_t left_width = linfo->schema.num_columns();
-  size_t right_width = rinfo->schema.num_columns();
+  // Stage widths follow what the (possibly pruned) scans emit.
+  std::vector<std::string> right_columns = ScanOutputColumns(right, rinfo->schema);
+  lowering->columns = ScanOutputColumns(left, linfo->schema);
+  size_t left_width = lowering->columns.size();
+  size_t right_width = right_columns.size();
   if (join.left_key >= left_width || join.right_key >= right_width) {
     return false;
   }
   lowering->width = left_width + right_width;
-  lowering->columns = SchemaColumnNames(linfo->schema);
-  for (const std::string& name : SchemaColumnNames(rinfo->schema)) {
-    lowering->columns.push_back(name);
-  }
+  lowering->columns.insert(lowering->columns.end(), right_columns.begin(),
+                           right_columns.end());
 
   // Join-strategy rule (DESIGN.md §14.3): broadcast the smaller side when
   // its catalog row estimate is at or below the threshold; otherwise

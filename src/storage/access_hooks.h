@@ -30,10 +30,11 @@ struct AccessEvent {
   /// separately from analytic sweeps by the heat tracker.
   bool point_read = false;
   /// Names of the columns the scan actually read, for per-column heat on
-  /// wide tables. The interpreted executor materializes whole rows and so
-  /// reports every schema column (the truth of that path); the compiled
-  /// executor reports exactly the slots its fused kernel touched. Empty is
-  /// valid: observers then attribute the access to the partition only.
+  /// wide tables. The interpreted executor reports the columns its scan
+  /// emitted plus its predicate's columns (every schema column when the
+  /// scan is unpruned); the compiled executor reports exactly the slots
+  /// its fused kernel touched. Empty is valid: observers then attribute
+  /// the access to the partition only.
   std::vector<std::string> columns;
 };
 

@@ -103,9 +103,18 @@ class DistributedSqlFixture : public ::testing::Test {
   /// Ground truth: the same SQL through parser + optimizer + the
   /// single-node executor over the mirror database.
   StatusOr<ResultSet> Local(const std::string& sql) {
+    return LocalWith(sql, Optimizer(nullptr, &local_));
+  }
+
+  /// The pruning oracle's reference: an optimizer without a catalog sees
+  /// no table widths, so it prunes no columns.
+  StatusOr<ResultSet> Unpruned(const std::string& sql) {
+    return LocalWith(sql, Optimizer(nullptr, nullptr));
+  }
+
+  StatusOr<ResultSet> LocalWith(const std::string& sql, Optimizer opt) {
     SqlParser parser(&local_);
     POLY_ASSIGN_OR_RETURN(PlanPtr plan, parser.Parse(sql));
-    Optimizer opt(nullptr, &local_);
     plan = opt.Optimize(plan);
     Executor exec(&local_, tm_.AutoCommitView());
     return exec.Execute(plan);
@@ -118,6 +127,13 @@ class DistributedSqlFixture : public ::testing::Test {
     auto base = Local(sql);
     ASSERT_TRUE(base.ok()) << context << ": " << sql << "\n"
                            << base.status().ToString();
+    // Column pruning changes row width only: same rows, same order, same
+    // names as the unpruned plan.
+    auto unpruned = Unpruned(sql);
+    ASSERT_TRUE(unpruned.ok()) << context << ": " << sql << "\n"
+                               << unpruned.status().ToString();
+    EXPECT_EQ(base->rows, unpruned->rows) << context << ": " << sql;
+    EXPECT_EQ(base->column_names, unpruned->column_names) << context << ": " << sql;
     std::vector<Row> got = SortedRows(*dist);
     std::vector<Row> want = SortedRows(*base);
     ASSERT_EQ(got.size(), want.size())
@@ -176,6 +192,58 @@ TEST_F(DistributedSqlFixture, DistributedSqlOracleFiftySeeds) {
     }
     ExpectSameRows(sql, ("seed " + std::to_string(seed)).c_str());
   }
+}
+
+TEST_F(DistributedSqlFixture, PrunedShapesMatchOracle) {
+  LoadStarSchema();
+  for (uint64_t threshold : {uint64_t{2048}, uint64_t{0}}) {
+    DistributedPlanner::Options popts;
+    popts.broadcast_threshold_rows = threshold;
+    bridge_.set_planner_options(popts);
+    for (const char* sql : {
+             // HAVING over a hidden aggregate the select list never shows.
+             "SELECT k1, SUM(v) AS s FROM fact GROUP BY k1 HAVING COUNT(*) > 50 "
+             "AND MAX(k2) = 19",
+             "SELECT DISTINCT k2 FROM fact WHERE v < 500",
+             "SELECT k1, SUM(v) AS s FROM fact GROUP BY k1 ORDER BY s DESC LIMIT 3",
+             // Cross-side residual filter: k1 and w stay emitted for it.
+             "SELECT k2, v FROM fact JOIN dim ON k2 = id WHERE k1 < w AND v < 300",
+             "SELECT COUNT(*) AS c FROM fact",
+             "SELECT COUNT(*) AS c FROM fact JOIN dim ON k2 = id WHERE w > 70",
+         }) {
+      ExpectSameRows(sql, ("threshold " + std::to_string(threshold)).c_str());
+    }
+  }
+}
+
+TEST_F(DistributedSqlFixture, StagesShipOnlyEmittedColumns) {
+  LoadStarSchema();
+  DistributedPlanner::Options popts;
+  popts.broadcast_threshold_rows = 0;  // shuffle both sides
+  const std::string sql = "SELECT w, SUM(v) AS s FROM fact JOIN dim ON k2 = id GROUP BY w";
+  auto parsed = SqlParser(&local_).Parse(sql);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+
+  // Runs the plan on the cluster; returns the node-to-node shuffle bytes.
+  auto shuffle_bytes = [&](const PlanPtr& optimized, size_t fact_width) -> uint64_t {
+    DistributedPlanner planner(&cluster_.catalog(), &cluster_.discovery(), popts);
+    auto dplan = planner.Plan(optimized);
+    EXPECT_TRUE(dplan.ok()) << dplan.status().ToString();
+    if (!dplan.ok()) return 0;
+    EXPECT_EQ(dplan->stages[0].label, "shuffle(fact)") << dplan->ToString();
+    EXPECT_EQ(dplan->stages[0].output_width, fact_width) << dplan->ToString();
+    EXPECT_TRUE(cluster_.RunFragments(*dplan).ok());
+    return cluster_.last_query_stats().shuffle_bytes;
+  };
+  // fact's k1 is read by nothing: the shuffled fact rows carry (k2, v).
+  uint64_t pruned = shuffle_bytes(Optimizer(nullptr, &local_).Optimize(*parsed), 2);
+  uint64_t unpruned = shuffle_bytes(Optimizer(nullptr, nullptr).Optimize(*parsed), 3);
+  EXPECT_LT(pruned, unpruned);
+
+  bridge_.set_planner_options(popts);
+  ExpectSameRows(sql, "pruned shuffle");
+  EXPECT_NE(bridge_.AnnotatedPlan().find("Scan(fact, cols=[$1,$2])"), std::string::npos)
+      << bridge_.AnnotatedPlan();
 }
 
 // ---------- strategy assertions (acceptance criteria) ----------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -11,26 +13,28 @@
 namespace poly {
 namespace {
 
-/// Fresh per-test directory under gtest's temp root. Unit files are
-/// truncated up front so a rerun never replays a previous run's log.
-std::string FreshLogDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/" + name;
-  for (int u = 0; u < 8; ++u) {
-    std::remove((dir + "/unit" + std::to_string(u) + ".log").c_str());
+/// Fresh per-test log directory under gtest's temp root, named per process
+/// so concurrent test binaries (`ctest -j`) never share a log, and removed
+/// when the test ends.
+struct FreshLogDir {
+  explicit FreshLogDir(const std::string& name)
+      : path(testing::TempDir() + "/" + name + "." + std::to_string(getpid())) {
+    std::filesystem::remove_all(path);
   }
-  return dir;
-}
+  ~FreshLogDir() { std::filesystem::remove_all(path); }
+  std::string path;
+};
 
 // The ChaosDurableLog suite rides the existing `ctest -L chaos` label (the
 // chaos test target filters on Chaos*): crash-recovery belongs with the
 // other kill/heal scenarios.
 
 TEST(ChaosDurableLog, LogSurvivesReopen) {
-  std::string dir = FreshLogDir("poly_durable_log_reopen");
+  FreshLogDir dir("poly_durable_log_reopen");
   SharedLog::Options opts;
   opts.num_log_units = 3;
   opts.replication = 2;
-  opts.durable_dir = dir;
+  opts.durable_dir = dir.path;
 
   {
     SharedLog log(opts);
@@ -58,11 +62,11 @@ TEST(ChaosDurableLog, LogSurvivesReopen) {
 }
 
 TEST(ChaosDurableLog, TruncatedTailFrameIsDiscarded) {
-  std::string dir = FreshLogDir("poly_durable_log_torn");
+  FreshLogDir dir("poly_durable_log_torn");
   SharedLog::Options opts;
   opts.num_log_units = 2;
   opts.replication = 2;  // every record on both units
-  opts.durable_dir = dir;
+  opts.durable_dir = dir.path;
 
   {
     SharedLog log(opts);
@@ -73,7 +77,7 @@ TEST(ChaosDurableLog, TruncatedTailFrameIsDiscarded) {
   // Simulate a crash mid-write: append a torn frame (header promising more
   // payload than exists) to one unit file.
   {
-    std::FILE* f = std::fopen((dir + "/unit0.log").c_str(), "ab");
+    std::FILE* f = std::fopen((dir.path + "/unit0.log").c_str(), "ab");
     ASSERT_NE(f, nullptr);
     uint64_t offset = 2, len = 1000;
     std::fwrite(&offset, sizeof(offset), 1, f);
@@ -92,11 +96,11 @@ TEST(ChaosDurableLog, TruncatedTailFrameIsDiscarded) {
 }
 
 TEST(ChaosDurableLog, AppendAfterTornTailSurvivesSecondCrash) {
-  std::string dir = FreshLogDir("poly_durable_log_torn_append");
+  FreshLogDir dir("poly_durable_log_torn_append");
   SharedLog::Options opts;
   opts.num_log_units = 1;  // one unit: recovery depends on this exact file
   opts.replication = 1;
-  opts.durable_dir = dir;
+  opts.durable_dir = dir.path;
 
   {
     SharedLog log(opts);
@@ -106,7 +110,7 @@ TEST(ChaosDurableLog, AppendAfterTornTailSurvivesSecondCrash) {
 
   // Crash mid-write: a torn frame at the tail of the only unit file.
   {
-    std::FILE* f = std::fopen((dir + "/unit0.log").c_str(), "ab");
+    std::FILE* f = std::fopen((dir.path + "/unit0.log").c_str(), "ab");
     ASSERT_NE(f, nullptr);
     uint64_t offset = 2, len = 1000;
     std::fwrite(&offset, sizeof(offset), 1, f);
@@ -135,14 +139,14 @@ TEST(ChaosDurableLog, AppendAfterTornTailSurvivesSecondCrash) {
 }
 
 TEST(ChaosDurableLog, FreshClusterRecoversCommittedWrites) {
-  std::string dir = FreshLogDir("poly_durable_log_cluster");
+  FreshLogDir dir("poly_durable_log_cluster");
   Schema schema({ColumnDef("id", DataType::kInt64),
                  ColumnDef("amount", DataType::kInt64)});
   PartitionSpec spec = PartitionSpec::Hash("id", 4);
 
   SoeCluster::Options opts;
   opts.num_nodes = 4;
-  opts.log_durable_dir = dir;
+  opts.log_durable_dir = dir.path;
 
   uint64_t committed_tail = 0;
   {

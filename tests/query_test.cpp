@@ -4,6 +4,7 @@
 #include "query/compiled.h"
 #include "query/executor.h"
 #include "query/optimizer.h"
+#include "query/sql_parser.h"
 #include "txn/transaction_manager.h"
 
 namespace poly {
@@ -38,6 +39,20 @@ TEST(ExprTest, Comparisons) {
 TEST(ExprTest, CrossTypeNumericCompare) {
   Row row = {Value::Int(5), Value::Dbl(5.5)};
   EXPECT_TRUE(Expr::Compare(CmpOp::kLt, Expr::Column(0), Expr::Column(1))->EvalBool(row));
+}
+
+TEST(ExprTest, IntDoubleEqualityIsNumeric) {
+  // Same answer as the dictionary lookup of an id-range scan, which orders
+  // int and double by numeric value.
+  Row row = {Value::Int(5)};
+  auto cmp = [&](CmpOp op, double rhs) {
+    return Expr::Compare(op, Expr::Column(0), Expr::Literal(Value::Dbl(rhs)))
+        ->EvalBool(row);
+  };
+  EXPECT_TRUE(cmp(CmpOp::kEq, 5.0));
+  EXPECT_FALSE(cmp(CmpOp::kNe, 5.0));
+  EXPECT_FALSE(cmp(CmpOp::kEq, 5.5));
+  EXPECT_TRUE(cmp(CmpOp::kNe, 5.5));
 }
 
 TEST(ExprTest, LogicalOps) {
@@ -298,6 +313,145 @@ TEST_F(QueryFixture, IdRangeScanUsedAfterMerge) {
   ResultSet rs = Run(optimized);
   EXPECT_EQ(rs.num_rows(), 10u);
   EXPECT_EQ(last_stats_.id_range_scans, 1u);
+}
+
+// The dictionary-encoded main and the delta must agree: one predicate
+// returns the same rows before Merge (delta, evaluated row by row) and
+// after it (main, answered from value-id ranges where the shape allows).
+TEST(IdRangeScanTest, MainAndDeltaReturnTheSameRows) {
+  Database db;
+  TransactionManager tm;
+  ColumnTable* t = *db.CreateTable(
+      "t", Schema({ColumnDef("k", DataType::kInt64), ColumnDef("tag", DataType::kInt64)}));
+  auto txn = tm.Begin();
+  int64_t tag = 0;
+  for (const Value& k : {Value::Int(1), Value::Null(), Value::Int(5)}) {
+    ASSERT_TRUE(tm.Insert(txn.get(), t, {k, Value::Int(tag++)}).ok());
+  }
+  ASSERT_TRUE(tm.Commit(txn.get()).ok());
+
+  std::vector<ExprPtr> predicates;
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kLe, CmpOp::kGt, CmpOp::kGe}) {
+    for (const Value& v : {Value::Int(0), Value::Int(1), Value::Int(3), Value::Int(5),
+                           Value::Int(9), Value::Dbl(1.0), Value::Dbl(2.5), Value::Dbl(5.0),
+                           Value::Null()}) {
+      predicates.push_back(Expr::Compare(op, Expr::Column(0), Expr::Literal(v)));
+    }
+  }
+  uint64_t id_range_scans = 0;
+  auto run_all = [&] {
+    std::vector<std::vector<Row>> out;
+    for (const ExprPtr& p : predicates) {
+      Executor exec(&db, tm.AutoCommitView());
+      auto rs = exec.Execute(Optimizer().Optimize(PlanBuilder::Scan("t").Filter(p).Build()));
+      EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+      out.push_back(rs.ok() ? rs->rows : std::vector<Row>{});
+      id_range_scans += exec.stats().id_range_scans;
+    }
+    return out;
+  };
+  std::vector<std::vector<Row>> delta = run_all();
+  t->Merge();
+  id_range_scans = 0;
+  std::vector<std::vector<Row>> main = run_all();
+  EXPECT_GT(id_range_scans, 0u);  // the main store really took the id-range path
+  for (size_t i = 0; i < predicates.size(); ++i) {
+    EXPECT_EQ(delta[i], main[i]) << predicates[i]->ToString();
+  }
+}
+
+// ---------- Column pruning ----------
+
+/// Plans the same SQL twice: pruned (the optimizer sees the catalog) and
+/// unpruned (no catalog, so no table widths and no pruning).
+class ColumnPruningFixture : public QueryFixture {
+ protected:
+  PlanPtr Plan(const std::string& sql, bool prune) {
+    auto parsed = SqlParser(&db_).Parse(sql);
+    EXPECT_TRUE(parsed.ok()) << sql << ": " << parsed.status().ToString();
+    if (!parsed.ok()) return nullptr;
+    return prune ? Optimizer(nullptr, &db_).Optimize(*parsed) : Optimizer().Optimize(*parsed);
+  }
+
+  static const PlanNode* FirstScan(const PlanNode& node) {
+    if (node.kind == PlanKind::kScan) return &node;
+    for (const PlanPtr& child : node.children) {
+      if (const PlanNode* scan = FirstScan(*child)) return scan;
+    }
+    return nullptr;
+  }
+
+  /// Rows, row order and column names match the unpruned plan's.
+  void ExpectSameAsUnpruned(const std::string& sql) {
+    ResultSet pruned = Run(Plan(sql, true));
+    ResultSet full = Run(Plan(sql, false));
+    EXPECT_EQ(pruned.column_names, full.column_names) << sql;
+    EXPECT_EQ(pruned.rows, full.rows) << sql;
+  }
+};
+
+TEST_F(ColumnPruningFixture, ScansEmitOnlyTheColumnsThePlanReads) {
+  const std::string sql =
+      "SELECT region, SUM(amount) AS s FROM orders WHERE qty < 5 GROUP BY region";
+  PlanPtr plan = Plan(sql, true);
+  // qty is read only by the pushed predicate, o_id by nothing at all.
+  EXPECT_NE(plan->ToString().find("Scan(orders, pred=($3 < 5), cols=[$1,$2])"),
+            std::string::npos)
+      << plan->ToString();
+  ExpectSameAsUnpruned(sql);
+  // SELECT * reads whole rows: nothing to prune.
+  EXPECT_EQ(Plan("SELECT * FROM orders WHERE qty = 2", true)->ToString().find("cols="),
+            std::string::npos);
+}
+
+TEST_F(ColumnPruningFixture, CountStarScansZeroColumns) {
+  const std::string sql = "SELECT COUNT(*) AS n FROM orders";
+  PlanPtr plan = Plan(sql, true);
+  EXPECT_NE(plan->ToString().find("Scan(orders, cols=[])"), std::string::npos)
+      << plan->ToString();
+  ResultSet scanned = Run(std::make_shared<PlanNode>(*FirstScan(*plan)));
+  EXPECT_EQ(scanned.num_rows(), 100u);
+  EXPECT_EQ(scanned.num_columns(), 0u);
+  EXPECT_TRUE(scanned.rows[0].empty());
+  ExpectSameAsUnpruned(sql);
+  auto rs = db_.Execute(sql);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs->rows[0][0], Value::Int(100));
+}
+
+TEST_F(ColumnPruningFixture, IdRangePredicateColumnIsNotEmitted) {
+  orders_->Merge();
+  PlanPtr plan = Plan("SELECT amount FROM orders WHERE o_id = 7", true);
+  const PlanNode* scan = FirstScan(*plan);
+  ASSERT_TRUE(scan->scan_columns.has_value());
+  EXPECT_EQ(*scan->scan_columns, std::vector<size_t>{2});
+  ResultSet rs = Run(plan);
+  EXPECT_EQ(last_stats_.id_range_scans, 1u);
+  ASSERT_EQ(rs.num_rows(), 1u);
+  EXPECT_EQ(rs.rows[0], Row{Value::Dbl(10.5)});
+  ResultSet scanned = Run(std::make_shared<PlanNode>(*scan));
+  EXPECT_EQ(scanned.column_names, std::vector<std::string>{"amount"});
+}
+
+TEST_F(ColumnPruningFixture, PrunedPlansMatchUnprunedPlans) {
+  // Join with a cross-side residual filter: region stays emitted for it.
+  const std::string join =
+      "SELECT o_id, manager FROM orders JOIN regions ON region = name "
+      "WHERE region < manager AND qty = 3";
+  EXPECT_NE(Plan(join, true)->ToString().find("cols=[$0,$1]"), std::string::npos)
+      << Plan(join, true)->ToString();
+  for (const std::string& sql :
+       {join,
+        std::string("SELECT region, SUM(amount) AS s FROM orders GROUP BY region "
+                    "HAVING COUNT(*) > 10 AND MAX(qty) = 9"),
+        std::string("SELECT DISTINCT qty FROM orders WHERE amount > 20"),
+        std::string("SELECT o_id, amount FROM orders WHERE region = 'east' "
+                    "ORDER BY amount DESC LIMIT 5"),
+        std::string("SELECT manager, COUNT(*) AS n FROM orders JOIN regions "
+                    "ON region = name GROUP BY manager"),
+        std::string("SELECT * FROM orders WHERE qty = 2")}) {
+    ExpectSameAsUnpruned(sql);
+  }
 }
 
 // ---------- Optimizer tests ----------

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <map>
@@ -142,7 +143,9 @@ TEST(BackupTest, FileRoundTripAndCorruptionDetected) {
   ASSERT_TRUE(tm.Insert(txn.get(), t, {Value::Int(9)}).ok());
   ASSERT_TRUE(tm.Commit(txn.get()).ok());
 
-  std::string path = testing::TempDir() + "/poly_backup_test.bin";
+  // Per-process name: concurrent test binaries must not share the file.
+  std::string path =
+      testing::TempDir() + "/poly_backup_test." + std::to_string(getpid()) + ".bin";
   ASSERT_TRUE(BackupDatabaseToFile(db, path).ok());
   Database restored;
   ASSERT_TRUE(RestoreDatabaseFromFile(path, &restored).ok());
@@ -177,7 +180,8 @@ TEST_F(RddFixture, BackupRestoreSurvivesFaultInjection) {
     std::string pt = PartitionTableName(hosted.first, hosted.second);
     pre_state[pt] = fingerprint(db0, pt);
   }
-  std::string path = testing::TempDir() + "/poly_chaos_backup.bin";
+  std::string path =
+      testing::TempDir() + "/poly_chaos_backup." + std::to_string(getpid()) + ".bin";
   ASSERT_TRUE(BackupDatabaseToFile(db0, path).ok());
 
   // Post-backup chaos: lossy network, more committed writes, a node crash.

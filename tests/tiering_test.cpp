@@ -735,7 +735,7 @@ TEST_F(TieringDaemonFixture, WithoutColdStoreDaemonStaysTwoBand) {
 TEST_F(TieringDaemonFixture, ExecutorsFeedPerColumnHeat) {
   TieringDaemon daemon(&db_, &storage_, &cold_, DaemonOpts());
 
-  // Interpreted executor materializes whole rows: both schema columns heat.
+  // An unpruned interpreted scan emits whole rows: both schema columns heat.
   ASSERT_TRUE(QueryPartition(PartName(1)).ok());
   // Compiled executor only touches its kernel's slots: SUM(amount) reads
   // "amount" but never "id".
@@ -744,12 +744,17 @@ TEST_F(TieringDaemonFixture, ExecutorsFeedPerColumnHeat) {
   QueryCompiler qc(&db_, tm_.AutoCommitView());
   ASSERT_TRUE(qc.CanCompile(plan));
   ASSERT_TRUE(qc.Execute(plan).ok());
+  // SQL through the interpreted executor: the pruned scan reads (and
+  // reports) only "amount".
+  ASSERT_TRUE(db_.Execute("SELECT SUM(amount) AS s FROM " + PartName(3)).ok());
 
   daemon.heat().AdvanceEpoch();
   EXPECT_GT(daemon.heat().ColumnHeatOf(PartName(1), "id"), 0.0);
   EXPECT_GT(daemon.heat().ColumnHeatOf(PartName(1), "amount"), 0.0);
   EXPECT_GT(daemon.heat().ColumnHeatOf(PartName(2), "amount"), 0.0);
   EXPECT_DOUBLE_EQ(daemon.heat().ColumnHeatOf(PartName(2), "id"), 0.0);
+  EXPECT_GT(daemon.heat().ColumnHeatOf(PartName(3), "amount"), 0.0);
+  EXPECT_DOUBLE_EQ(daemon.heat().ColumnHeatOf(PartName(3), "id"), 0.0);
 
   std::string explain = daemon.Explain(PartName(1));
   EXPECT_NE(explain.find("column heat:"), std::string::npos);

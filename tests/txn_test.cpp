@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -241,7 +242,9 @@ TEST(RecoveryTest, ReplayRebuildsCommittedState) {
 }
 
 TEST(RecoveryTest, FileBackedLogSurvivesReopen) {
-  std::string path = testing::TempDir() + "/poly_redo_test.log";
+  // Per-process name: concurrent test binaries must not share the file.
+  std::string path =
+      testing::TempDir() + "/poly_redo_test." + std::to_string(getpid()) + ".log";
   std::remove(path.c_str());
   {
     auto log = RedoLog::OpenFile(path);
