@@ -32,6 +32,10 @@
 // Zipf head never leaves memory, so the cold band must not cost hits) and
 // hot_mb identical, while warm_mb collapses toward zero as the tail drains
 // to cold_mb.
+//
+// The placement rows run exactly one iteration: placement state carries
+// over between iterations, so an iteration count picked by host speed
+// would change every counter. One iteration is one fixed query stream.
 
 #include <benchmark/benchmark.h>
 
@@ -122,7 +126,7 @@ void Adaptive_StaticRules(benchmark::State& state) {
   state.counters["modeled_storage_ms"] =
       storage_nanos / 1e6 / state.iterations();
 }
-BENCHMARK(Adaptive_StaticRules)->Unit(benchmark::kMillisecond);
+BENCHMARK(Adaptive_StaticRules)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 /// Daemon-driven placement: same initial age-based demotion, but the daemon
 /// watches the workload and re-places partitions every kEpochEvery queries.
@@ -173,7 +177,7 @@ void Adaptive_Daemon(benchmark::State& state) {
   state.counters["moved_mb"] =
       static_cast<double>(moved_bytes) / 1e6 / state.iterations();
 }
-BENCHMARK(Adaptive_Daemon)->Unit(benchmark::kMillisecond);
+BENCHMARK(Adaptive_Daemon)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 /// E24 core: the Adaptive_Daemon workload plus kHistory aged "history"
 /// partitions the Zipf never touches — only a rare audit query (1 in
@@ -270,12 +274,12 @@ void ThreeBandRun(benchmark::State& state, bool with_cold) {
 void Adaptive_ThreeBand_TwoBandBaseline(benchmark::State& state) {
   ThreeBandRun(state, /*with_cold=*/false);
 }
-BENCHMARK(Adaptive_ThreeBand_TwoBandBaseline)->Unit(benchmark::kMillisecond);
+BENCHMARK(Adaptive_ThreeBand_TwoBandBaseline)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 void Adaptive_ThreeBand_Daemon(benchmark::State& state) {
   ThreeBandRun(state, /*with_cold=*/true);
 }
-BENCHMARK(Adaptive_ThreeBand_Daemon)->Unit(benchmark::kMillisecond);
+BENCHMARK(Adaptive_ThreeBand_Daemon)->Unit(benchmark::kMillisecond)->Iterations(1);
 
 /// Foreground scan, no observer attached: the AccessEvent branch in the
 /// executor short-circuits on a null observer pointer.

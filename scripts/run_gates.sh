@@ -16,7 +16,13 @@
 #   5. chaos       seeded chaos-oracle sweep, default 50 seeds
 #                  (scripts/chaos_sweep.sh; ctest -L chaos runs the in-suite
 #                  subset)
-#   6. tsan        whole-suite ThreadSanitizer build + run
+#   6. perfbench   the benchmark's self-test (python3 perfbench/selftest.py):
+#                  builds perfbench/, runs every workload at scale 0.02 with
+#                  result checks, the BENCHMARK.json metric names and exact
+#                  counts that must repeat across two traced runs; the only
+#                  check on perfbench's traced copies of Database::Execute
+#                  and SoeSqlBridge::Execute
+#   7. tsan        whole-suite ThreadSanitizer build + run
 #                  (scripts/run_tsan.sh; ctest -L tsan-full in build-tsan)
 #
 # Usage:
@@ -32,7 +38,7 @@ set -u
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build}"
 CHAOS_SEEDS="${CHAOS_SEEDS:-50}"
-GATES="${*:-docs tiering resource soe-sql chaos tsan}"
+GATES="${*:-docs tiering resource soe-sql chaos perfbench tsan}"
 
 if [[ ! -d "$BUILD_DIR" ]]; then
   echo "run_gates.sh: no build tree at $BUILD_DIR" >&2
@@ -69,11 +75,14 @@ for gate in $GATES; do
     chaos)
       run_gate chaos "$REPO_ROOT/scripts/chaos_sweep.sh" "$CHAOS_SEEDS" "$BUILD_DIR"
       ;;
+    perfbench)
+      run_gate perfbench python3 "$REPO_ROOT/perfbench/selftest.py"
+      ;;
     tsan)
       run_gate tsan "$REPO_ROOT/scripts/run_tsan.sh"
       ;;
     *)
-      echo "run_gates.sh: unknown gate '$gate' (know: docs tiering resource soe-sql chaos tsan)" >&2
+      echo "run_gates.sh: unknown gate '$gate' (know: docs tiering resource soe-sql chaos perfbench tsan)" >&2
       exit 2
       ;;
   esac

@@ -66,6 +66,39 @@ std::string SpanLabel(const PlanNode& node) {
   return "Unknown";
 }
 
+/// Splits [0, n) into morsels of `morsel` rows, runs body(begin, end, &frag)
+/// across `tp`, and appends the fragments to `out` in morsel order. Serial
+/// inputs (no pool, or one morsel) run as a single call straight into
+/// `out`, so the result never depends on the thread count.
+template <typename T, typename Body>
+void MorselConcat(ThreadPool* tp, size_t morsel, size_t n, const Body& body,
+                  std::vector<T>* out) {
+  if (tp == nullptr || n <= morsel) {
+    body(size_t{0}, n, out);
+    return;
+  }
+  size_t num_morsels = (n + morsel - 1) / morsel;
+  std::vector<std::vector<T>> frags(num_morsels);
+  tp->ParallelFor(
+      num_morsels,
+      [&](size_t m) {
+        size_t begin = m * morsel;
+        body(begin, std::min(n, begin + morsel), &frags[m]);
+      },
+      /*grain=*/1);
+  size_t total = out->size();
+  for (const auto& f : frags) total += f.size();
+  out->reserve(total);
+  for (auto& f : frags) {
+    if (out->empty()) {
+      *out = std::move(f);
+    } else {
+      out->insert(out->end(), std::make_move_iterator(f.begin()),
+                  std::make_move_iterator(f.end()));
+    }
+  }
+}
+
 /// Hash of a group key / join key.
 struct RowKeyHash {
   size_t operator()(const Row& key) const {
@@ -88,23 +121,42 @@ struct AggState {
   Value min, max;
 };
 
-/// Folds one input row into the aggregate states of its group.
+/// Folds one input row into the aggregate states of its group, updating
+/// only the fields its function reads: count (COUNT, AVG), sums (SUM, AVG),
+/// min or max. A column input is read in place, not copied.
 void UpdateAggStates(const std::vector<AggSpec>& aggregates,
                      std::vector<AggState>* states, const Row& row) {
   for (size_t a = 0; a < aggregates.size(); ++a) {
     const AggSpec& spec = aggregates[a];
     AggState& st = (*states)[a];
-    Value v = spec.input ? spec.input->Eval(row) : Value::Int(1);
-    if (v.is_null()) continue;
-    ++st.count;
-    if (v.type() == DataType::kInt64) {
-      st.sum_int += v.AsInt();
-    } else {
-      st.all_int = false;
+    Value computed = spec.input ? Value::Null() : Value::Int(1);
+    const Value* v = &computed;
+    if (spec.input && spec.input->kind() == ExprKind::kColumn) {
+      if (spec.input->column_index() < row.size()) v = &row[spec.input->column_index()];
+    } else if (spec.input) {
+      computed = spec.input->Eval(row);
     }
-    st.sum += v.NumericValue();
-    if (!st.has_value || v < st.min) st.min = v;
-    if (!st.has_value || st.max < v) st.max = v;
+    if (v->is_null()) continue;
+    ++st.count;
+    switch (spec.func) {
+      case AggFunc::kCount:
+        break;
+      case AggFunc::kSum:
+      case AggFunc::kAvg:
+        if (v->type() == DataType::kInt64) {
+          st.sum_int += v->AsInt();
+        } else {
+          st.all_int = false;
+        }
+        st.sum += v->NumericValue();
+        break;
+      case AggFunc::kMin:
+        if (!st.has_value || *v < st.min) st.min = *v;
+        break;
+      case AggFunc::kMax:
+        if (!st.has_value || st.max < *v) st.max = *v;
+        break;
+    }
     st.has_value = true;
   }
 }
@@ -144,11 +196,180 @@ struct GroupTable {
   }
 };
 
+/// Folds input rows [0, n) of an aggregate into one GroupTable.
+/// `for_rows(begin, end, fn)` calls fn(row) for input rows [begin, end) in
+/// input order; `row` needs only the group-key and aggregate-input columns.
+/// Thread-local tables per morsel are merged in morsel order, so group
+/// emission order (first occurrence over the input) and every aggregate
+/// match the serial fold; FP sums follow the morsel reduction tree.
+template <typename ForRows>
+GroupTable FoldGroups(ThreadPool* tp, size_t morsel, size_t n, const PlanNode& node,
+                      const ForRows& for_rows) {
+  size_t num_aggs = node.aggregates.size();
+  auto accumulate_range = [&](size_t begin, size_t end, GroupTable* table) {
+    Row key;
+    key.reserve(node.group_by.size());
+    for_rows(begin, end, [&](const Row& row) {
+      key.clear();
+      for (size_t g : node.group_by) key.push_back(row[g]);
+      UpdateAggStates(node.aggregates, table->FindOrAdd(key, num_aggs), row);
+    });
+  };
+  GroupTable groups;
+  if (tp == nullptr || n <= morsel) {
+    accumulate_range(0, n, &groups);
+    return groups;
+  }
+  size_t num_morsels = (n + morsel - 1) / morsel;
+  std::vector<GroupTable> locals(num_morsels);
+  tp->ParallelFor(
+      num_morsels,
+      [&](size_t m) {
+        size_t begin = m * morsel;
+        accumulate_range(begin, std::min(n, begin + morsel), &locals[m]);
+      },
+      /*grain=*/1);
+  for (auto& local : locals) {
+    for (size_t g = 0; g < local.keys.size(); ++g) {
+      std::vector<AggState>* dst = groups.FindOrAdd(local.keys[g], num_aggs);
+      for (size_t a = 0; a < num_aggs; ++a) {
+        MergeAggState(&(*dst)[a], local.states[g][a]);
+      }
+    }
+  }
+  return groups;
+}
+
+/// The aggregate's input columns its group keys and aggregate inputs read:
+/// all a fold loads per input row.
+std::vector<size_t> AggregateInputColumns(const PlanNode& node) {
+  std::set<size_t> cols(node.group_by.begin(), node.group_by.end());
+  for (const AggSpec& agg : node.aggregates) {
+    if (agg.input) agg.input->CollectColumns(&cols);
+  }
+  return std::vector<size_t>(cols.begin(), cols.end());
+}
+
 /// Hash-join build table: key -> right-row indices in ascending order, so
 /// probe output enumerates matches deterministically (serial build appends
 /// in row order; parallel build merges per-morsel tables in morsel order,
 /// which is the same order).
 using JoinIndex = std::unordered_map<Value, std::vector<size_t>, ValueHash>;
+
+/// The top-level conjuncts of `e` (e itself when it is not an AND).
+void FlattenAnd(const ExprPtr& e, std::vector<ExprPtr>* out) {
+  if (e->kind() == ExprKind::kAnd) {
+    FlattenAnd(e->left(), out);
+    FlattenAnd(e->right(), out);
+  } else {
+    out->push_back(e);
+  }
+}
+
+/// Indices in `cols` below `width` (a column past the table reads NULL).
+std::vector<size_t> ColumnsBelow(const std::set<size_t>& cols, size_t width) {
+  std::vector<size_t> out;
+  for (size_t c : cols) {
+    if (c < width) out.push_back(c);
+  }
+  return out;
+}
+
+/// A value-id range test on one main-store column, from the conjuncts of
+/// a pushed predicate on that column; rows at or past `main_size` test
+/// values instead.
+struct IdRange {
+  const Column::Reader* column = nullptr;
+  uint64_t main_size = 0;  ///< this column's own: a merge republishes
+                           ///< columns one at a time
+  uint64_t lo = 0, hi = 0;
+};
+
+/// What one table scan evaluates, shared by all its morsels.
+struct ScanSpec {
+  const Expr* predicate = nullptr;  ///< null = every visible row passes
+  std::vector<size_t> pred_cols;    ///< columns the predicate reads
+  std::vector<IdRange> ranges;      ///< one per column with id-range conjuncts
+  ExprPtr residual;                 ///< the other conjuncts; null = none
+  std::vector<size_t> residual_cols;
+  bool one_atom = false;  ///< the whole predicate is one id-range atom
+};
+
+/// Splits `predicate` for a scan through `guard`: every `col op literal`
+/// conjunct becomes a value-id range, ranges on one column intersect, and
+/// the other conjuncts form the residual.
+ScanSpec MakeScanSpec(const ColumnTable::ReadGuard& guard, const ExprPtr& predicate) {
+  ScanSpec spec;
+  if (!predicate) return spec;
+  spec.predicate = predicate.get();
+  std::set<size_t> cols;
+  predicate->CollectColumns(&cols);
+  spec.pred_cols = ColumnsBelow(cols, guard.num_columns());
+  std::vector<ExprPtr> conjuncts;
+  FlattenAnd(predicate, &conjuncts);
+  for (const ExprPtr& conjunct : conjuncts) {
+    size_t col = 0;
+    uint64_t lo = 0, hi = 0;
+    if (!TryIdRangePredicate(guard, *conjunct, &col, &lo, &hi)) {
+      spec.residual = spec.residual ? Expr::And(spec.residual, conjunct) : conjunct;
+      continue;
+    }
+    const Column::Reader* column = &guard.col(col);
+    auto it = std::find_if(spec.ranges.begin(), spec.ranges.end(),
+                           [&](const IdRange& r) { return r.column == column; });
+    if (it == spec.ranges.end()) {
+      spec.ranges.push_back({column, column->main_size(), lo, hi});
+    } else {
+      it->lo = std::max(it->lo, lo);
+      it->hi = std::min(it->hi, hi);
+    }
+  }
+  if (spec.residual) {
+    cols.clear();
+    spec.residual->CollectColumns(&cols);
+    spec.residual_cols = ColumnsBelow(cols, guard.num_columns());
+  }
+  spec.one_atom = conjuncts.size() == 1 && !spec.ranges.empty();
+  return spec;
+}
+
+/// Selects the rows of [begin, end) visible in `view` that pass `spec`
+/// into `out`, counting into `stats` (which may be a worker-local partial).
+/// One morsel of a scan. The guard is immutable and shared by every morsel
+/// of one table scan: one pin covers stamps and values for the whole
+/// fan-out (DESIGN.md §12.5).
+void ScanMorsel(const ColumnTable::ReadGuard& guard, const ReadView& view,
+                const ScanSpec& spec, uint64_t begin, uint64_t end,
+                std::vector<uint64_t>* out, ExecStats* stats) {
+  // One probe row per morsel, in table-column space: a row that needs a
+  // predicate on values loads only that predicate's columns into it.
+  Row probe(spec.predicate ? guard.num_columns() : 0);
+  auto passes = [&](const Expr& pred, const std::vector<size_t>& cols, uint64_t r) {
+    for (size_t c : cols) probe[c] = guard.GetValue(r, c);
+    return pred.EvalBool(probe);
+  };
+  guard.ScanVisibleRange(view, begin, end, [&](uint64_t r) {
+    ++stats->rows_scanned;
+    // Id-range conjuncts test main rows on value ids; a row past some
+    // range column's main part evaluates the whole predicate on values.
+    bool ids_only = true;
+    for (const IdRange& range : spec.ranges) {
+      if (r >= range.main_size) {
+        ids_only = false;
+        continue;
+      }
+      uint64_t id = range.column->MainId(r);
+      if (id < range.lo || id >= range.hi) return;
+    }
+    if (!ids_only) {
+      if (!passes(*spec.predicate, spec.pred_cols, r)) return;
+    } else if (spec.residual && !passes(*spec.residual, spec.residual_cols, r)) {
+      return;
+    }
+    ++stats->rows_materialized;
+    out->push_back(r);
+  });
+}
 
 }  // namespace
 
@@ -222,28 +443,16 @@ ThreadPool* Executor::pool() {
   return owned_pool_.get();
 }
 
-void Executor::MorselMap(size_t n,
-                         const std::function<void(size_t, size_t, ResultSet*)>& body,
-                         ResultSet* out) {
-  ThreadPool* tp = pool();
-  size_t morsel = morsel_rows();
-  if (tp == nullptr || n <= morsel) {
-    body(0, n, out);
-    return;
+const Executor::ScanCounters& Executor::scan_counters(bool aged) {
+  ScanCounters& c = aged ? aged_counters_ : hot_counters_;
+  if (c.count == nullptr) {
+    metrics::Registry* reg = db_->metrics();
+    std::string prefix = aged ? "storage.scan.aged." : "storage.scan.hot.";
+    c.count = reg->counter(prefix + "count");
+    c.rows = reg->counter(prefix + "rows");
+    c.bytes = reg->counter(prefix + "bytes");
   }
-  size_t num_morsels = (n + morsel - 1) / morsel;
-  std::vector<ResultSet> frags(num_morsels);
-  tp->ParallelFor(
-      num_morsels,
-      [&](size_t m) {
-        size_t begin = m * morsel;
-        body(begin, std::min(n, begin + morsel), &frags[m]);
-      },
-      /*grain=*/1);
-  size_t total = out->rows.size();
-  for (const auto& f : frags) total += f.rows.size();
-  out->rows.reserve(total);
-  for (auto& f : frags) out->AppendRows(std::move(f));
+  return c;
 }
 
 StatusOr<ResultSet> Executor::Execute(const PlanPtr& plan) {
@@ -274,14 +483,14 @@ StatusOr<ResultSet> Executor::Execute(const PlanPtr& plan) {
   return result;
 }
 
-StatusOr<ResultSet> Executor::ChargeOutput(StatusOr<ResultSet> result) {
-  if (opts_.budget == nullptr || !result.ok()) return result;
-  POLY_RETURN_IF_ERROR(reservation_.Grow(EstimateSpanBytes(*result)));
-  return result;
-}
-
-StatusOr<ResultSet> Executor::Exec(const PlanNode& node) {
-  if (!opts_.trace) return ChargeOutput(Dispatch(node));
+Status Executor::RunOperator(const PlanNode& node,
+                             const std::function<StatusOr<Produced>()>& body) {
+  auto run = [&]() -> StatusOr<Produced> {
+    POLY_ASSIGN_OR_RETURN(Produced produced, body());
+    if (opts_.budget != nullptr) POLY_RETURN_IF_ERROR(reservation_.Grow(produced.bytes));
+    return produced;
+  };
+  if (!opts_.trace) return run().status();
   OperatorSpan span;
   span.label = SpanLabel(node);
   OperatorSpan* parent = current_span_;
@@ -289,17 +498,17 @@ StatusOr<ResultSet> Executor::Exec(const PlanNode& node) {
   uint64_t scanned_before = stats_.rows_scanned;
   uint64_t wall0 = TraceWallNanos();
   uint64_t cpu0 = TraceThreadCpuNanos();
-  StatusOr<ResultSet> result = ChargeOutput(Dispatch(node));
+  StatusOr<Produced> produced = run();
   span.wall_nanos = TraceWallNanos() - wall0;
   span.cpu_nanos = TraceThreadCpuNanos() - cpu0;
   current_span_ = parent;
-  if (result.ok()) {
-    span.rows_out = result->num_rows();
-    span.bytes_out = EstimateSpanBytes(*result);
+  if (produced.ok()) {
+    span.rows_out = produced->rows;
+    span.bytes_out = produced->bytes;
     if (node.kind == PlanKind::kScan) {
       // A scan consumes row versions, not operator rows; parallel morsel
-      // stats merge into stats_ before ScanOneTable returns, so the delta
-      // is exact at every thread count.
+      // stats merge into stats_ before SelectScan returns, so the delta is
+      // exact at every thread count.
       span.rows_in = stats_.rows_scanned - scanned_before;
     } else {
       for (const OperatorSpan& c : span.children) span.rows_in += c.rows_out;
@@ -310,7 +519,16 @@ StatusOr<ResultSet> Executor::Exec(const PlanNode& node) {
   } else {
     trace_root_ = std::make_shared<OperatorSpan>(std::move(span));
   }
-  return result;
+  return produced.status();
+}
+
+StatusOr<ResultSet> Executor::Exec(const PlanNode& node) {
+  ResultSet out;
+  POLY_RETURN_IF_ERROR(RunOperator(node, [&]() -> StatusOr<Produced> {
+    POLY_ASSIGN_OR_RETURN(out, Dispatch(node));
+    return Produced{out.num_rows(), EstimateSpanBytes(out)};
+  }));
+  return out;
 }
 
 StatusOr<ResultSet> Executor::Dispatch(const PlanNode& node) {
@@ -329,113 +547,26 @@ StatusOr<ResultSet> Executor::Dispatch(const PlanNode& node) {
   return Status::Internal("unknown plan node");
 }
 
-void Executor::ScanMorsel(const ColumnTable::ReadGuard& guard, const ScanSpec& spec,
-                          uint64_t begin, uint64_t end, ResultSet* out,
-                          ExecStats* stats) const {
-  uint64_t main_size = guard.num_columns() ? guard.col(0).main_size() : 0;
-  // One probe row per morsel, in table-column space: a row that needs the
-  // predicate loads only the predicate's columns into it.
-  Row probe(spec.predicate ? guard.num_columns() : 0);
-  guard.ScanVisibleRange(view_, begin, end, [&](uint64_t r) {
-    ++stats->rows_scanned;
-    if (spec.use_range && r < main_size) {
-      uint64_t id = guard.col(spec.range_col).MainId(r);
-      if (id < spec.lo || id >= spec.hi) return;
-    } else if (spec.predicate) {
-      for (size_t c : spec.pred_cols) probe[c] = guard.GetValue(r, c);
-      if (!spec.predicate->EvalBool(probe)) return;
-    }
-    Row row;
-    row.reserve(spec.emit.size());
-    for (size_t c : spec.emit) row.push_back(guard.GetValue(r, c));
-    ++stats->rows_materialized;
-    out->rows.push_back(std::move(row));
-  });
+template <typename F>
+void Executor::ScanSelection::ForRange(size_t begin, size_t end, F&& fn) const {
+  // First part holding position `begin`: parts are few (one per scanned
+  // partition), so a linear walk is cheaper than a search.
+  size_t p = 0;
+  while (p + 1 < parts.size() && parts[p + 1].begin <= begin) ++p;
+  for (; p < parts.size() && begin < end; ++p) {
+    const Part& part = parts[p];
+    size_t stop = std::min(end, part.begin + part.rows.size());
+    for (size_t i = begin; i < stop; ++i) fn(part, part.rows[i - part.begin]);
+    begin = stop;
+  }
 }
 
-Status Executor::ScanOneTable(const ColumnTable& table, const ExprPtr& predicate,
-                              const std::vector<size_t>& emit, ResultSet* out) {
-  ++stats_.partitions_scanned;
-
-  // ONE unified guard per table scan (DESIGN.md §12.5): a single epoch pin
-  // covering the table state, the stamp snapshot, and a value snapshot of
-  // every column. Its size() is the version store's published watermark:
-  // every morsel below it reads fully-published rows AND fully-published
-  // values, latch-free against concurrent writers, AddColumn, Merge, and
-  // Vacuum. The guard is immutable, so all morsel workers share it.
-  ColumnTable::ReadGuard guard(&table);
-
-  ScanSpec spec;
-  spec.emit = emit;
-  if (predicate) {
-    spec.predicate = predicate.get();
-    std::set<size_t> cols;
-    predicate->CollectColumns(&cols);
-    for (size_t c : cols) {
-      if (c < guard.num_columns()) spec.pred_cols.push_back(c);  // else NULL
-    }
-    spec.use_range = TryIdRangePredicate(guard, *predicate, &spec.range_col, &spec.lo,
-                                         &spec.hi);
-  }
-  if (spec.use_range) ++stats_.id_range_scans;
-
-  uint64_t n = guard.size();
-  ThreadPool* tp = pool();
-  uint64_t morsel = morsel_rows();
-  if (tp == nullptr || n <= morsel) {
-    ScanMorsel(guard, spec, 0, n, out, &stats_);
-    return Status::OK();
-  }
-
-  // Morsel-driven scan: fixed-size row ranges over the pool, per-worker
-  // fragments and stats merged in morsel order — identical output to the
-  // serial scan above.
-  size_t num_morsels = static_cast<size_t>((n + morsel - 1) / morsel);
-  std::vector<ResultSet> frags(num_morsels);
-  std::vector<ExecStats> local(num_morsels);
-  tp->ParallelFor(
-      num_morsels,
-      [&](size_t m) {
-        uint64_t begin = m * morsel;
-        ScanMorsel(guard, spec, begin, std::min<uint64_t>(n, begin + morsel), &frags[m],
-                   &local[m]);
-      },
-      /*grain=*/1);
-  size_t total = out->rows.size();
-  for (const auto& f : frags) total += f.rows.size();
-  out->rows.reserve(total);
-  for (size_t m = 0; m < num_morsels; ++m) {
-    stats_.rows_scanned += local[m].rows_scanned;
-    stats_.rows_materialized += local[m].rows_materialized;
-    out->AppendRows(std::move(frags[m]));
-  }
-  return Status::OK();
-}
-
-StatusOr<ResultSet> Executor::ExecScan(const PlanNode& node) {
-  // Per-temperature scan accounting (DESIGN.md §10): hot base tables vs
-  // "$aged" partitions. Looked up once, bumped once per partition scan —
-  // never per row.
-  static metrics::Counter* const hot_scans =
-      metrics::Default().counter("storage.scan.hot.count");
-  static metrics::Counter* const hot_rows =
-      metrics::Default().counter("storage.scan.hot.rows");
-  static metrics::Counter* const hot_bytes =
-      metrics::Default().counter("storage.scan.hot.bytes");
-  static metrics::Counter* const aged_scans =
-      metrics::Default().counter("storage.scan.aged.count");
-  static metrics::Counter* const aged_rows =
-      metrics::Default().counter("storage.scan.aged.rows");
-  static metrics::Counter* const aged_bytes =
-      metrics::Default().counter("storage.scan.aged.bytes");
-
-  ResultSet out;
+Status Executor::SelectScan(const PlanNode& node, ScanSelection* out) {
   // Partition list from the optimizer (aging-aware pruning, E12); falls back
   // to the single named table.
   std::vector<std::string> tables =
       node.scan_partitions.empty() ? std::vector<std::string>{node.table}
                                    : node.scan_partitions;
-  bool first = true;
   for (const auto& name : tables) {
     // Pin the partition: a shared handle keeps it alive across the scan even
     // if the tiering daemon demotes (drops) it concurrently.
@@ -450,44 +581,79 @@ StatusOr<ResultSet> Executor::ExecScan(const PlanNode& node) {
         if (resolved.ok()) pinned = std::move(resolved);
       }
     }
-    POLY_ASSIGN_OR_RETURN(std::shared_ptr<ColumnTable> table, std::move(pinned));
-    const Schema& schema = table->schema();
+    ScanSelection::Part part;
+    POLY_ASSIGN_OR_RETURN(part.table, std::move(pinned));
+    const Schema& schema = part.table->schema();
     // The pruned column list from the optimizer, else the whole row.
-    std::vector<size_t> emit;
     if (node.scan_columns) {
-      emit = *node.scan_columns;
-      for (size_t c : emit) {
+      part.emit = *node.scan_columns;
+      for (size_t c : part.emit) {
         if (c >= schema.num_columns()) {
           return Status::InvalidArgument("scan column out of range for " + name);
         }
       }
     } else {
-      for (size_t c = 0; c < schema.num_columns(); ++c) emit.push_back(c);
+      for (size_t c = 0; c < schema.num_columns(); ++c) part.emit.push_back(c);
     }
-    if (first) {
-      out.column_names = ScanOutputColumns(node, schema);
-      first = false;
-    }
+    if (out->parts.empty()) out->column_names = ScanOutputColumns(node, schema);
+    part.begin = out->size();
+
+    // ONE unified guard per table scan (DESIGN.md §12.5): a single epoch pin
+    // covering the table state, the stamp snapshot, and a value snapshot of
+    // every column. Its size() is the version store's published watermark:
+    // every morsel below it reads fully-published rows AND fully-published
+    // values, latch-free against concurrent writers, AddColumn, Merge, and
+    // Vacuum. The guard is immutable, so all morsel workers share it, and
+    // it stays pinned until the selection is consumed.
+    part.guard = std::make_unique<ColumnTable::ReadGuard>(part.table.get());
+    const ColumnTable::ReadGuard& guard = *part.guard;
+    ++stats_.partitions_scanned;
     uint64_t scanned_before = stats_.rows_scanned;
-    uint64_t ranges_before = stats_.id_range_scans;
-    size_t rows_before = out.rows.size();
-    POLY_RETURN_IF_ERROR(ScanOneTable(*table, node.scan_predicate, emit, &out));
+    ScanSpec spec = MakeScanSpec(guard, node.scan_predicate);
+    // The point-read signal keeps its meaning: the whole predicate is one
+    // id-range atom.
+    if (spec.one_atom) ++stats_.id_range_scans;
+
+    // Morsel-driven selection: fixed-size row ranges over the pool,
+    // per-worker selections and stats merged in morsel order — identical
+    // to the serial scan.
+    uint64_t n = guard.size();
+    ThreadPool* tp = pool();
+    if (tp == nullptr || n <= morsel_rows()) {
+      ScanMorsel(guard, view_, spec, 0, n, &part.rows, &stats_);
+    } else {
+      std::vector<ExecStats> local((n + morsel_rows() - 1) / morsel_rows());
+      MorselConcat(
+          tp, morsel_rows(), n,
+          [&](size_t begin, size_t end, std::vector<uint64_t>* rows) {
+            ScanMorsel(guard, view_, spec, begin, end, rows, &local[begin / morsel_rows()]);
+          },
+          &part.rows);
+      for (const ExecStats& s : local) {
+        stats_.rows_scanned += s.rows_scanned;
+        stats_.rows_materialized += s.rows_materialized;
+      }
+    }
+
+    // Per-temperature scan accounting (DESIGN.md §10): hot base tables vs
+    // "$aged" partitions, bumped once per partition scan — never per row.
     bool aged = name.size() > 5 && name.compare(name.size() - 5, 5, "$aged") == 0;
-    (aged ? aged_scans : hot_scans)->Add(1);
-    (aged ? aged_rows : hot_rows)->Add(stats_.rows_scanned - scanned_before);
-    uint64_t produced = out.rows.size() - rows_before;
-    uint64_t bytes = produced * emit.size() * 8;
-    (aged ? aged_bytes : hot_bytes)->Add(bytes);
+    const ScanCounters& counters = scan_counters(aged);
+    uint64_t scanned = stats_.rows_scanned - scanned_before;
+    uint64_t bytes = part.rows.size() * part.emit.size() * 8;
+    counters.count->Add(1);
+    counters.rows->Add(scanned);
+    counters.bytes->Add(bytes);
     if (opts_.track_access) {
       if (AccessObserver* observer = db_->access_observer()) {
         AccessEvent event;
         event.partition = name;
-        event.rows_scanned = stats_.rows_scanned - scanned_before;
+        event.rows_scanned = scanned;
         event.bytes = bytes;
-        event.point_read = stats_.id_range_scans > ranges_before;
+        event.point_read = spec.one_atom;
         // Per-column heat names exactly the columns this scan read: the
         // emitted ones plus the predicate's.
-        std::set<size_t> read(emit.begin(), emit.end());
+        std::set<size_t> read(part.emit.begin(), part.emit.end());
         if (node.scan_predicate) node.scan_predicate->CollectColumns(&read);
         for (size_t c : read) {
           if (c < schema.num_columns()) event.columns.push_back(schema.column(c).name);
@@ -495,7 +661,28 @@ StatusOr<ResultSet> Executor::ExecScan(const PlanNode& node) {
         observer->OnAccess(event);
       }
     }
+    out->parts.push_back(std::move(part));
   }
+  return Status::OK();
+}
+
+StatusOr<ResultSet> Executor::ExecScan(const PlanNode& node) {
+  ScanSelection sel;
+  POLY_RETURN_IF_ERROR(SelectScan(node, &sel));
+  ResultSet out;
+  out.column_names = std::move(sel.column_names);
+  MorselConcat(
+      pool(), morsel_rows(), sel.size(),
+      [&](size_t begin, size_t end, std::vector<Row>* rows) {
+        rows->reserve(rows->size() + (end - begin));
+        sel.ForRange(begin, end, [&](const ScanSelection::Part& part, uint64_t r) {
+          Row row;
+          row.reserve(part.emit.size());
+          for (size_t c : part.emit) row.push_back(part.guard->GetValue(r, c));
+          rows->push_back(std::move(row));
+        });
+      },
+      &out.rows);
   return out;
 }
 
@@ -503,16 +690,14 @@ StatusOr<ResultSet> Executor::ExecFilter(const PlanNode& node) {
   POLY_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.children[0]));
   ResultSet out;
   out.column_names = in.column_names;
-  MorselMap(
-      in.rows.size(),
-      [&](size_t begin, size_t end, ResultSet* frag) {
+  MorselConcat(
+      pool(), morsel_rows(), in.rows.size(),
+      [&](size_t begin, size_t end, std::vector<Row>* rows) {
         for (size_t i = begin; i < end; ++i) {
-          if (node.predicate->EvalBool(in.rows[i])) {
-            frag->rows.push_back(std::move(in.rows[i]));
-          }
+          if (node.predicate->EvalBool(in.rows[i])) rows->push_back(std::move(in.rows[i]));
         }
       },
-      &out);
+      &out.rows);
   return out;
 }
 
@@ -520,33 +705,31 @@ StatusOr<ResultSet> Executor::ExecProject(const PlanNode& node) {
   POLY_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.children[0]));
   ResultSet out;
   out.column_names = node.output_names;
-  MorselMap(
-      in.rows.size(),
-      [&](size_t begin, size_t end, ResultSet* frag) {
-        frag->rows.reserve(end - begin);
+  MorselConcat(
+      pool(), morsel_rows(), in.rows.size(),
+      [&](size_t begin, size_t end, std::vector<Row>* rows) {
+        rows->reserve(rows->size() + (end - begin));
         for (size_t i = begin; i < end; ++i) {
           Row projected;
           projected.reserve(node.projections.size());
           for (const auto& e : node.projections) {
             projected.push_back(e->Eval(in.rows[i]));
           }
-          frag->rows.push_back(std::move(projected));
+          rows->push_back(std::move(projected));
         }
       },
-      &out);
+      &out.rows);
   return out;
 }
 
-StatusOr<ResultSet> Executor::ExecHashJoin(const PlanNode& node) {
-  POLY_ASSIGN_OR_RETURN(ResultSet left, Exec(*node.children[0]));
-  POLY_ASSIGN_OR_RETURN(ResultSet right, Exec(*node.children[1]));
+Status Executor::MatchJoin(const PlanNode& node, JoinMatches* out) {
+  POLY_ASSIGN_OR_RETURN(out->left, Exec(*node.children[0]));
+  POLY_ASSIGN_OR_RETURN(out->right, Exec(*node.children[1]));
+  const ResultSet& left = out->left;
+  const ResultSet& right = out->right;
   if (node.left_key >= left.num_columns() || node.right_key >= right.num_columns()) {
     return Status::InvalidArgument("join key out of range");
   }
-  ResultSet out;
-  out.column_names = left.column_names;
-  out.column_names.insert(out.column_names.end(), right.column_names.begin(),
-                          right.column_names.end());
 
   // Build side: key -> ascending right-row indices. Parallel build fills
   // per-morsel tables, merged in morsel order so index lists stay sorted.
@@ -587,79 +770,125 @@ StatusOr<ResultSet> Executor::ExecHashJoin(const PlanNode& node) {
   // (hash slot + index vector element) before probing fans out.
   POLY_RETURN_IF_ERROR(ChargeInternal(rn * 24));
 
-  // Probe side: morsels of left rows, fragments merged in left-row order.
-  MorselMap(
-      left.rows.size(),
-      [&](size_t begin, size_t end, ResultSet* frag) {
+  // Probe side: morsels of left rows, matches merged in left-row order.
+  MorselConcat(
+      tp, morsel, left.rows.size(),
+      [&](size_t begin, size_t end, std::vector<std::pair<size_t, size_t>>* pairs) {
         for (size_t i = begin; i < end; ++i) {
-          const Row& lrow = left.rows[i];
-          const Value& key = lrow[node.left_key];
+          const Value& key = left.rows[i][node.left_key];
           if (key.is_null()) continue;
           auto it = build.find(key);
           if (it == build.end()) continue;
-          for (size_t ri : it->second) {
-            Row joined = lrow;
-            const Row& rrow = right.rows[ri];
-            joined.insert(joined.end(), rrow.begin(), rrow.end());
-            frag->rows.push_back(std::move(joined));
-          }
+          for (size_t ri : it->second) pairs->emplace_back(i, ri);
         }
       },
-      &out);
+      &out->pairs);
+  return Status::OK();
+}
+
+StatusOr<ResultSet> Executor::ExecHashJoin(const PlanNode& node) {
+  JoinMatches join;
+  POLY_RETURN_IF_ERROR(MatchJoin(node, &join));
+  ResultSet out;
+  out.column_names = join.column_names();
+  MorselConcat(
+      pool(), morsel_rows(), join.pairs.size(),
+      [&](size_t begin, size_t end, std::vector<Row>* rows) {
+        rows->reserve(rows->size() + (end - begin));
+        for (size_t i = begin; i < end; ++i) {
+          Row joined = join.left.rows[join.pairs[i].first];
+          const Row& rrow = join.right.rows[join.pairs[i].second];
+          joined.insert(joined.end(), rrow.begin(), rrow.end());
+          rows->push_back(std::move(joined));
+        }
+      },
+      &out.rows);
   return out;
 }
 
 StatusOr<ResultSet> Executor::ExecAggregate(const PlanNode& node) {
-  POLY_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.children[0]));
-  ResultSet out;
-  for (size_t g : node.group_by) {
-    if (g >= in.num_columns()) return Status::InvalidArgument("group key out of range");
-    out.column_names.push_back(in.column_names[g]);
-  }
-  for (const auto& agg : node.aggregates) out.column_names.push_back(agg.output_name);
-
-  size_t num_aggs = node.aggregates.size();
-  auto accumulate_range = [&](size_t begin, size_t end, GroupTable* table) {
-    Row key;
-    for (size_t i = begin; i < end; ++i) {
-      const Row& row = in.rows[i];
-      key.clear();
-      key.reserve(node.group_by.size());
-      for (size_t g : node.group_by) key.push_back(row[g]);
-      UpdateAggStates(node.aggregates, table->FindOrAdd(key, num_aggs), row);
-    }
-  };
-
-  GroupTable groups;
+  const PlanNode& child = *node.children[0];
   ThreadPool* tp = pool();
   size_t morsel = morsel_rows();
-  size_t n = in.rows.size();
-  if (tp == nullptr || n <= morsel) {
-    accumulate_range(0, n, &groups);
-  } else {
-    // Thread-local tables per morsel, merged in morsel order so that group
-    // emission order (first occurrence over the input) and every aggregate
-    // match the serial fold; FP sums follow the morsel reduction tree.
-    size_t num_morsels = (n + morsel - 1) / morsel;
-    std::vector<GroupTable> locals(num_morsels);
-    tp->ParallelFor(
-        num_morsels,
-        [&](size_t m) {
-          size_t begin = m * morsel;
-          accumulate_range(begin, std::min(n, begin + morsel), &locals[m]);
-        },
-        /*grain=*/1);
-    for (auto& local : locals) {
-      for (size_t g = 0; g < local.keys.size(); ++g) {
-        std::vector<AggState>* dst = groups.FindOrAdd(local.keys[g], num_aggs);
-        for (size_t a = 0; a < num_aggs; ++a) {
-          MergeAggState(&(*dst)[a], local.states[g][a]);
-        }
-      }
+  std::vector<size_t> read = AggregateInputColumns(node);
+  auto check_keys = [&node](const std::vector<std::string>& in_names) {
+    for (size_t g : node.group_by) {
+      if (g >= in_names.size()) return Status::InvalidArgument("group key out of range");
     }
+    return Status::OK();
+  };
+
+  // Late materialization: over a scan or a join the aggregate folds the
+  // selection / match pairs, loading only the columns in `read` into one
+  // probe row per morsel. Either way the fold walks its input in the same
+  // morsels as over materialized rows, so the result is identical.
+  std::vector<std::string> in_names;
+  GroupTable groups;
+  if (child.kind == PlanKind::kScan) {
+    ScanSelection sel;
+    POLY_RETURN_IF_ERROR(RunOperator(child, [&]() -> StatusOr<Produced> {
+      POLY_RETURN_IF_ERROR(SelectScan(child, &sel));
+      return Produced{sel.size(), sel.size() * sizeof(uint64_t)};
+    }));
+    POLY_RETURN_IF_ERROR(check_keys(sel.column_names));
+    size_t width = sel.column_names.size();
+    groups = FoldGroups(tp, morsel, sel.size(), node,
+                        [&](size_t begin, size_t end, const auto& fn) {
+                          Row probe(width);
+                          sel.ForRange(begin, end, [&](const ScanSelection::Part& part,
+                                                       uint64_t r) {
+                            for (size_t c : read) {
+                              if (c < width && c < part.emit.size()) {
+                                probe[c] = part.guard->GetValue(r, part.emit[c]);
+                              }
+                            }
+                            fn(probe);
+                          });
+                        });
+    in_names = std::move(sel.column_names);
+  } else if (child.kind == PlanKind::kHashJoin) {
+    JoinMatches join;
+    POLY_RETURN_IF_ERROR(RunOperator(child, [&]() -> StatusOr<Produced> {
+      POLY_RETURN_IF_ERROR(MatchJoin(child, &join));
+      return Produced{join.pairs.size(),
+                      join.pairs.size() * sizeof(std::pair<size_t, size_t>)};
+    }));
+    in_names = join.column_names();
+    POLY_RETURN_IF_ERROR(check_keys(in_names));
+    size_t left_width = join.left.num_columns();
+    size_t width = in_names.size();
+    groups = FoldGroups(tp, morsel, join.pairs.size(), node,
+                        [&](size_t begin, size_t end, const auto& fn) {
+                          Row probe(width);
+                          for (size_t i = begin; i < end; ++i) {
+                            const Row& l = join.left.rows[join.pairs[i].first];
+                            const Row& r = join.right.rows[join.pairs[i].second];
+                            for (size_t c : read) {
+                              if (c < left_width) {
+                                probe[c] = l[c];
+                              } else if (c < width) {
+                                probe[c] = r[c - left_width];
+                              }
+                            }
+                            fn(probe);
+                          }
+                        });
+  } else {
+    POLY_ASSIGN_OR_RETURN(ResultSet in, Exec(child));
+    POLY_RETURN_IF_ERROR(check_keys(in.column_names));
+    groups = FoldGroups(tp, morsel, in.rows.size(), node,
+                        [&](size_t begin, size_t end, const auto& fn) {
+                          for (size_t i = begin; i < end; ++i) fn(in.rows[i]);
+                        });
+    in_names = std::move(in.column_names);
   }
 
+  ResultSet out;
+  for (size_t g : node.group_by) out.column_names.push_back(in_names[g]);
+  for (const auto& agg : node.aggregates) out.column_names.push_back(agg.output_name);
+
   // Global aggregate over empty input still yields one row of zeros/nulls.
+  size_t num_aggs = node.aggregates.size();
   if (node.group_by.empty() && groups.keys.empty()) {
     groups.FindOrAdd(Row{}, num_aggs);
   }

@@ -39,9 +39,15 @@ bool TryIdRangePredicate(const ColumnTable& table, const Expr& pred, size_t* col
 bool TryIdRangePredicate(const ColumnTable::ReadGuard& guard, const Expr& pred,
                          size_t* col_out, uint64_t* lo_out, uint64_t* hi_out);
 
-/// Vectorized-enough interpreted executor: every operator materializes its
-/// result (simple, predictable, and a fair baseline for the compiled path of
-/// E13). Reads run under snapshot-isolation `view`.
+/// Interpreted executor (the baseline for the compiled path of E13). Reads
+/// run under snapshot-isolation `view`. A scan first selects the ids of
+/// its qualifying rows, testing every `col op literal` conjunct of its
+/// pushed predicate on main-store value ids; rows are materialized only
+/// where an operator's output is rows. An aggregate that reads straight
+/// from a scan or a hash join never materializes its input: it folds the
+/// scan's selection, or the join's (left, right) match pairs, into its
+/// group tables, reading only its group-key and aggregate-input columns
+/// (DESIGN.md §5).
 ///
 /// With ExecOptions::num_threads > 1 execution is morsel-driven: scans and
 /// the scan-shaped operators (filter, project, aggregate input, hash-join
@@ -49,8 +55,9 @@ bool TryIdRangePredicate(const ColumnTable::ReadGuard& guard, const Expr& pred,
 /// dispatched over a ThreadPool. Per-worker fragments and stats are merged
 /// in morsel order, so results, row order, and ExecStats are identical to
 /// the serial path for any thread count and morsel size (floating-point
-/// aggregate sums follow the fixed morsel-ordered reduction tree; see
-/// DESIGN.md §5).
+/// aggregate sums follow the fixed morsel-ordered reduction tree, and a
+/// folded aggregate uses the same morsels over its unmaterialized input;
+/// see DESIGN.md §5).
 class Executor {
  public:
   /// Runs with the database's default execution options (serial unless
@@ -72,40 +79,75 @@ class Executor {
   const OperatorSpan* trace() const { return trace_root_.get(); }
 
  private:
-  /// Tracing wrapper around Dispatch: when opts_.trace is set, times the
-  /// node (wall + coordinator-thread CPU), counts rows in/out, and hangs
-  /// the span under the parent operator's span.
+  /// What one operator produced: its span's rows_out and bytes_out, and
+  /// the bytes its boundary charges to the query reservation.
+  struct Produced {
+    uint64_t rows = 0;
+    uint64_t bytes = 0;
+  };
+  /// Runs `body` as the execution of `node`. Grows the query reservation
+  /// by the produced bytes (ResourceExhausted replaces the result when the
+  /// budget says no; no-op without ExecOptions::budget). When opts_.trace
+  /// is set, also times the node (wall + coordinator-thread CPU), counts
+  /// rows in/out, and hangs its span under the parent operator's span.
+  /// Exec wraps Dispatch in it; an aggregate wraps the scan or join it
+  /// folds, so folded children trace and charge like any other operator.
+  Status RunOperator(const PlanNode& node,
+                     const std::function<StatusOr<Produced>()>& body);
+  /// Runs `node` and materializes its rows (charged at the row estimate).
   StatusOr<ResultSet> Exec(const PlanNode& node);
-  /// Budget hook on every operator boundary: grows the query reservation by
-  /// the materialized output estimate; ResourceExhausted replaces the
-  /// result when the budget says no. No-op without ExecOptions::budget.
-  StatusOr<ResultSet> ChargeOutput(StatusOr<ResultSet> result);
   /// Extra charge for operator-internal state (join index, group table)
   /// that is not visible in any operator's output estimate.
   Status ChargeInternal(uint64_t bytes) { return reservation_.Grow(bytes); }
   StatusOr<ResultSet> Dispatch(const PlanNode& node);
-  StatusOr<ResultSet> ExecScan(const PlanNode& node);
-  /// Scans one table, emitting the table columns `emit` of each row that
-  /// passes `predicate` (table-column space).
-  Status ScanOneTable(const ColumnTable& table, const ExprPtr& predicate,
-                      const std::vector<size_t>& emit, ResultSet* out);
-  /// What one table scan evaluates and emits, shared by all its morsels.
-  struct ScanSpec {
-    const Expr* predicate = nullptr;  ///< null = every visible row passes
-    std::vector<size_t> pred_cols;    ///< columns the predicate reads
-    bool use_range = false;           ///< main rows test a value-id range
-    size_t range_col = 0;
-    uint64_t lo = 0, hi = 0;
-    std::vector<size_t> emit;         ///< table columns of each output row
+
+  /// The rows one kScan node selects, not yet materialized: per scanned
+  /// table, its pin, one read guard, and the ids of the rows that pass the
+  /// pushed predicate in ascending order. Concatenated in table order, the
+  /// ids are exactly the rows ExecScan returns, in the same order.
+  struct ScanSelection {
+    struct Part {
+      std::shared_ptr<ColumnTable> table;
+      std::unique_ptr<ColumnTable::ReadGuard> guard;  ///< one pin, scan and reads
+      std::vector<size_t> emit;    ///< table column of each output column
+      std::vector<uint64_t> rows;  ///< selected row ids
+      size_t begin = 0;            ///< position of rows[0] in the concatenation
+    };
+    std::vector<std::string> column_names;
+    std::vector<Part> parts;
+
+    size_t size() const {
+      return parts.empty() ? 0 : parts.back().begin + parts.back().rows.size();
+    }
+    /// Calls fn(part, row_id) for positions [begin, end) of the concatenation.
+    template <typename F>
+    void ForRange(size_t begin, size_t end, F&& fn) const;
   };
-  /// Scans rows [begin, end) through `guard` into `out`, counting into
-  /// `stats` (which may be a worker-local partial). One morsel of a scan.
-  /// The guard is immutable and shared by every morsel of one table scan:
-  /// one pin covers stamps and values for the whole fan-out (DESIGN.md
-  /// §12.5).
-  void ScanMorsel(const ColumnTable::ReadGuard& guard, const ScanSpec& spec,
-                  uint64_t begin, uint64_t end, ResultSet* out,
-                  ExecStats* stats) const;
+  /// The one scan helper: pins every table of `node` (demand-paging demoted
+  /// partitions), selects its rows, and accounts for the scan (ExecStats,
+  /// `storage.scan.*` counters in the database's registry, access events).
+  Status SelectScan(const PlanNode& node, ScanSelection* out);
+  /// SelectScan, then the selected rows materialized.
+  StatusOr<ResultSet> ExecScan(const PlanNode& node);
+
+  /// A hash join's inputs and its (left row, right row) matches in output
+  /// order: left-row order, then ascending right row.
+  struct JoinMatches {
+    ResultSet left, right;
+    std::vector<std::pair<size_t, size_t>> pairs;
+
+    /// The joined row's columns: left's, then right's.
+    std::vector<std::string> column_names() const {
+      std::vector<std::string> names = left.column_names;
+      names.insert(names.end(), right.column_names.begin(), right.column_names.end());
+      return names;
+    }
+  };
+  /// The one build/probe: runs both children, builds on the right, probes
+  /// with the left. ExecHashJoin materializes the pairs; an aggregate
+  /// folds them.
+  Status MatchJoin(const PlanNode& node, JoinMatches* out);
+
   StatusOr<ResultSet> ExecFilter(const PlanNode& node);
   StatusOr<ResultSet> ExecProject(const PlanNode& node);
   StatusOr<ResultSet> ExecHashJoin(const PlanNode& node);
@@ -124,17 +166,21 @@ class Executor {
   size_t morsel_rows() const {
     return opts_.morsel_rows ? opts_.morsel_rows : ExecOptions::kDefaultMorselRows;
   }
-  /// Splits [0, n) into morsels, runs body(begin, end, &fragment) across
-  /// the pool, and appends fragments to `out` in morsel order (serial
-  /// inputs run as a single morsel straight into `out`).
-  void MorselMap(size_t n,
-                 const std::function<void(size_t, size_t, ResultSet*)>& body,
-                 ResultSet* out);
+
+  /// `storage.scan.{hot,aged}.{count,rows,bytes}` in the database's
+  /// registry, looked up on the first scan of this executor.
+  struct ScanCounters {
+    metrics::Counter* count = nullptr;
+    metrics::Counter* rows = nullptr;
+    metrics::Counter* bytes = nullptr;
+  };
+  const ScanCounters& scan_counters(bool aged);
 
   const Database* db_;
   ReadView view_;
   ExecOptions opts_;
   std::unique_ptr<ThreadPool> owned_pool_;
+  ScanCounters hot_counters_, aged_counters_;
   ExecStats stats_;
   std::shared_ptr<OperatorSpan> trace_root_;  ///< shared with the ResultSet
   OperatorSpan* current_span_ = nullptr;  ///< parent span during traced recursion

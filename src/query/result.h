@@ -22,33 +22,6 @@ struct ResultSet {
   size_t num_rows() const { return rows.size(); }
   size_t num_columns() const { return column_names.size(); }
 
-  /// Moves the rows of `frag` onto the end of this result. Fragment column
-  /// names are ignored: morsel fragments share the parent's header. This is
-  /// the deterministic-merge step of the parallel executor — fragments are
-  /// appended in morsel order, so output order never depends on threads.
-  void AppendRows(ResultSet&& frag) {
-    if (rows.empty()) {
-      rows = std::move(frag.rows);
-    } else {
-      rows.insert(rows.end(), std::make_move_iterator(frag.rows.begin()),
-                  std::make_move_iterator(frag.rows.end()));
-    }
-    frag.rows.clear();
-  }
-
-  /// Merges ordered per-morsel fragments into one result set under `names`,
-  /// preserving fragment order.
-  static ResultSet MergeFragments(std::vector<std::string> names,
-                                  std::vector<ResultSet>&& frags) {
-    ResultSet out;
-    out.column_names = std::move(names);
-    size_t total = 0;
-    for (const auto& f : frags) total += f.rows.size();
-    out.rows.reserve(total);
-    for (auto& f : frags) out.AppendRows(std::move(f));
-    return out;
-  }
-
   /// Index of a named output column, or -1.
   int ColumnIndex(const std::string& name) const {
     for (size_t i = 0; i < column_names.size(); ++i) {

@@ -20,10 +20,10 @@ enum class RedoKind : uint8_t {
   kCommit = 4,
 };
 
-/// Append-only redo log. Records live in memory and are optionally mirrored
-/// to a file so recovery can be exercised across a simulated crash. The SOE
-/// distributed shared log (src/soe/shared_log.h) is the scale-out sibling of
-/// this component.
+/// Append-only redo log, either in memory or in a file (so recovery can be
+/// exercised across a simulated crash); a file-backed log keeps no second
+/// copy of its records in memory. The SOE distributed shared log
+/// (src/soe/shared_log.h) is the scale-out sibling of this component.
 class RedoLog {
  public:
   /// Memory-only log.
@@ -31,15 +31,19 @@ class RedoLog {
   /// File-backed log (append mode). Existing content is preserved.
   static StatusOr<std::unique_ptr<RedoLog>> OpenFile(const std::string& path);
 
-  /// Appends one serialized record.
+  /// Appends one serialized record. A file-backed log returns IOError, and
+  /// records nothing, when the record does not reach the file (short write,
+  /// or a flush error such as ENOSPC on close).
   Status Append(std::string record);
 
   /// Flushes file-backed storage (no-op for memory logs).
   Status Sync();
 
-  /// Invokes fn on every record in append order.
+  /// Invokes fn on every record in append order. A file-backed log reads
+  /// its file, records written before OpenFile included.
   Status ForEach(const std::function<Status(const std::string&)>& fn) const;
 
+  /// Records appended through this log object.
   uint64_t num_records() const;
 
   /// Reads all records back from the file (for recovery after "restart").
@@ -54,8 +58,10 @@ class RedoLog {
 
  private:
   mutable std::mutex mu_;
-  std::vector<std::string> records_;
+  std::vector<std::string> records_;  // memory-only logs
+  uint64_t num_records_ = 0;
   std::string path_;  // empty = memory-only
+  uint64_t file_bytes_ = 0;  // bytes of whole records in the file
   std::function<Status(const char* op)> fault_injector_;
 };
 

@@ -360,6 +360,36 @@ TEST(IdRangeScanTest, MainAndDeltaReturnTheSameRows) {
   }
 }
 
+// Scan counters belong to the scanning Database's registry, not to the
+// process-wide one: two databases in one process keep disjoint counts, and
+// an aggregate that folds its scan counts like a materializing scan.
+TEST(ScanCountersTest, EachDatabaseCountsItsOwnScans) {
+  metrics::Registry reg_a, reg_b;
+  Database a, b;
+  a.set_metrics_registry(&reg_a);
+  b.set_metrics_registry(&reg_b);
+  TransactionManager tm;
+  Schema schema({ColumnDef("k", DataType::kInt64)});
+  ColumnTable* ta = *a.CreateTable("t", schema);
+  ColumnTable* tb = *b.CreateTable("t", schema);
+  auto txn = tm.Begin();
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(tm.Insert(txn.get(), ta, {Value::Int(i)}).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(tm.Insert(txn.get(), tb, {Value::Int(i)}).ok());
+  ASSERT_TRUE(tm.Commit(txn.get()).ok());
+  uint64_t process_rows = metrics::Default().counter("storage.scan.hot.rows")->Value();
+
+  ASSERT_TRUE(a.Execute("SELECT * FROM t").ok());
+  ASSERT_TRUE(a.Execute("SELECT COUNT(*) AS n FROM t").ok());
+  ASSERT_TRUE(b.Execute("SELECT k FROM t WHERE k = 1").ok());
+  EXPECT_EQ(reg_a.counter("storage.scan.hot.count")->Value(), 2u);
+  EXPECT_EQ(reg_a.counter("storage.scan.hot.rows")->Value(), 20u);
+  EXPECT_EQ(reg_a.counter("storage.scan.hot.bytes")->Value(), 80u);  // COUNT(*) reads none
+  EXPECT_EQ(reg_b.counter("storage.scan.hot.count")->Value(), 1u);
+  EXPECT_EQ(reg_b.counter("storage.scan.hot.rows")->Value(), 3u);
+  EXPECT_EQ(reg_b.counter("storage.scan.hot.bytes")->Value(), 8u);
+  EXPECT_EQ(metrics::Default().counter("storage.scan.hot.rows")->Value(), process_rows);
+}
+
 // ---------- Column pruning ----------
 
 /// Plans the same SQL twice: pruned (the optimizer sees the catalog) and

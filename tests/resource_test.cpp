@@ -514,6 +514,71 @@ TEST(GovernorTest, OverBudgetQueryFailsWithResourceExhaustedNotOom) {
   db.set_resource_governor(nullptr);
 }
 
+// An aggregate that folds its scan or join charges the selection vector,
+// the match pairs and the group table instead of materialized rows: a tiny
+// per-query limit still stops it with ResourceExhausted, a roomier one lets
+// it finish where the materialized SELECT * does not, and the budget
+// balances to zero on every path.
+TEST(GovernorTest, FoldedAggregateChargesSelectionsAndGroups) {
+  metrics::Registry reg;
+  Database db;
+  db.set_metrics_registry(&reg);
+  TransactionManager tm;
+  ColumnTable* big = *db.CreateTable(
+      "big", Schema({ColumnDef("k", DataType::kInt64), ColumnDef("g", DataType::kInt64),
+                     ColumnDef("v", DataType::kDouble), ColumnDef("note", DataType::kString)}));
+  ColumnTable* dim = *db.CreateTable(
+      "dim", Schema({ColumnDef("dk", DataType::kInt64), ColumnDef("label", DataType::kString)}));
+  auto txn = tm.Begin();
+  for (int i = 0; i < 4000; ++i) {
+    ASSERT_TRUE(tm.Insert(txn.get(), big,
+                          {Value::Int(i), Value::Int(i % 4), Value::Dbl(i * 1.0),
+                           Value::Str("note-" + std::to_string(10000 + i))})
+                    .ok());
+  }
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(tm.Insert(txn.get(), dim, {Value::Int(i), Value::Str("d" + std::to_string(i))})
+                    .ok());
+  }
+  ASSERT_TRUE(tm.Commit(txn.get()).ok());
+
+  ResourceGovernor::Options gopts;
+  gopts.budget.total_limit_bytes = 64 << 20;
+  AdmissionController::ClassOptions tiny;
+  tiny.per_query_limit_bytes = 4 * 1024;  // below one 4000-row selection
+  AdmissionController::ClassOptions roomy;
+  roomy.per_query_limit_bytes = 128 * 1024;  // selections fit, SELECT * rows do not
+  gopts.classes = {{"tiny", tiny}, {"roomy", roomy}};
+  gopts.default_class = "roomy";
+  ResourceGovernor gov(gopts, &reg);
+  db.set_resource_governor(&gov);
+  auto expect_balanced = [&](const std::string& sql) {
+    for (const auto& [name, used] : gov.budget().Snapshot()) {
+      if (name == "storage" || name == "global") continue;
+      EXPECT_EQ(used, 0u) << name << " after " << sql;
+    }
+  };
+
+  const std::vector<std::string> folded = {
+      "SELECT g, SUM(v) AS s FROM big GROUP BY g", "SELECT COUNT(*) AS n FROM big",
+      "SELECT label, COUNT(*) AS n FROM big JOIN dim ON g = dk GROUP BY label"};
+  ExecOptions opts;
+  for (const std::string& sql : folded) {
+    opts.workload_class = "tiny";
+    auto rs = db.Execute(sql, opts);
+    EXPECT_TRUE(rs.status().IsResourceExhausted()) << sql << ": " << rs.status().ToString();
+    expect_balanced(sql);
+    opts.workload_class = "roomy";
+    rs = db.Execute(sql, opts);
+    EXPECT_TRUE(rs.ok()) << sql << ": " << rs.status().ToString();
+    expect_balanced(sql);
+  }
+  auto all = db.Execute("SELECT * FROM big", opts);
+  EXPECT_TRUE(all.status().IsResourceExhausted()) << all.status().ToString();
+  expect_balanced("SELECT * FROM big");
+  db.set_resource_governor(nullptr);
+}
+
 TEST(GovernorTest, PerDatabaseRegistriesStayIsolated) {
   metrics::Registry reg_a, reg_b;
   // Governors before the Databases: bound tables must release into a live

@@ -129,6 +129,27 @@ TEST_F(TraceTest, InterpretedSpanTreeAddsUp) {
   EXPECT_NE(annotated.find("wall="), std::string::npos) << annotated;
 }
 
+// An aggregate that folds its scan keeps the scan's span: rows_in is the
+// versions visited, rows_out the selection size (the row count the scan
+// would have materialized), bytes_out the 8-byte row ids it handed over.
+TEST_F(TraceTest, FoldedScanKeepsItsSpan) {
+  ExecOptions opts;
+  opts.trace = true;
+  Executor exec(&db_, tm_.AutoCommitView(), opts);
+  auto rs = exec.Execute(Q6Plan());
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  const OperatorSpan& root = *rs->trace;
+  EXPECT_EQ(root.label, "Aggregate");
+  CheckRowFlow(root);
+  ASSERT_EQ(root.children.size(), 1u);
+  const OperatorSpan& scan = root.children[0];
+  EXPECT_EQ(scan.label, "Scan(orders, pushed predicate)");
+  EXPECT_EQ(scan.rows_in, static_cast<uint64_t>(kRows));
+  EXPECT_EQ(scan.rows_out, exec.stats().rows_materialized);
+  EXPECT_LT(scan.rows_out, scan.rows_in);
+  EXPECT_EQ(scan.bytes_out, scan.rows_out * 8);
+}
+
 TEST_F(TraceTest, CompiledSpanTreeAddsUp) {
   PlanPtr plan = Q6Plan();
   QueryCompiler qc(&db_, tm_.AutoCommitView());

@@ -263,7 +263,41 @@ TEST(RecoveryTest, FileBackedLogSurvivesReopen) {
   ASSERT_TRUE(TransactionManager::Recover(*records, &recovered).ok());
   ColumnTable* t = *recovered.GetTable("t");
   EXPECT_EQ(t->CountVisible(LatestCommittedView()), 1u);
+
+  // ForEach on a file-backed log replays the file, not an in-memory copy:
+  // a reopened log sees the records the first one wrote.
+  auto reopened = RedoLog::OpenFile(path);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->num_records(), 0u);  // counts this object's appends
+  std::vector<std::string> replayed;
+  ASSERT_TRUE((*reopened)
+                  ->ForEach([&](const std::string& r) {
+                    replayed.push_back(r);
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_EQ(replayed, *records);
   std::remove(path.c_str());
+}
+
+// A write that never reaches the file is not acknowledged: on a full disk
+// (/dev/full fails every flush with ENOSPC) Append and Commit return
+// IOError and the log records nothing.
+TEST(RecoveryTest, FullDiskFailsAppendAndCommit) {
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no writable /dev/full";
+  auto log = RedoLog::OpenFile("/dev/full");
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  EXPECT_EQ((*log)->Append("record").code(), StatusCode::kIOError);
+  EXPECT_EQ((*log)->num_records(), 0u);
+
+  Database db;
+  TransactionManager tm(log->get());
+  ColumnTable* t = *db.CreateTable("t", OrderSchema());
+  auto txn = tm.Begin();
+  EXPECT_EQ(tm.Insert(txn.get(), t, {Value::Int(1), Value::Dbl(1.0)}).code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(tm.Commit(txn.get()).code(), StatusCode::kIOError);
+  EXPECT_EQ((*log)->num_records(), 0u);
 }
 
 }  // namespace
