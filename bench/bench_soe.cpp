@@ -3,9 +3,10 @@
 // CORFU-style shared log [15]; OLTP vs OLAP node consistency.
 //
 // Rows reproduced:
-//   Soe_ScaleOut/<nodes>          - same distributed aggregate over 1..8
-//     nodes; counter makespan_ms models the parallel cluster (max per-node
-//     work), wall time on one core is the serial sum
+//   Soe_ScaleOut/<nodes>          - same distributed aggregate (planned as
+//     partial-per-partition -> final fragments) over 1..8 nodes; counter
+//     makespan_ms models the parallel cluster (max per-node work), wall
+//     time on one core is the serial sum
 //   Soe_SharedLogAppend/<units>   - log append throughput vs replication
 //   Soe_InsertCommit              - end-to-end commit through the broker
 //   Soe_OlapStaleness             - staleness (log offsets) an OLAP node
@@ -33,6 +34,15 @@ Schema ReadingsSchema() {
                  ColumnDef("value", DataType::kDouble)});
 }
 
+/// One global aggregate over `readings`, lowered by the distributed planner
+/// and run through the coordinator's fragment runner.
+StatusOr<ResultSet> AggregateReadings(SoeCluster* cluster, std::vector<AggSpec> aggs) {
+  PlanPtr plan = PlanBuilder::Scan("readings").Aggregate({}, std::move(aggs)).Build();
+  DistributedPlanner planner(&cluster->catalog(), &cluster->discovery());
+  POLY_ASSIGN_OR_RETURN(DistributedPlan dplan, planner.Plan(plan));
+  return cluster->RunFragments(dplan);
+}
+
 void Soe_ScaleOut(benchmark::State& state) {
   int nodes = static_cast<int>(state.range(0));
   SoeCluster::Options opts;
@@ -57,7 +67,7 @@ void Soe_ScaleOut(benchmark::State& state) {
   AggSpec sum{AggFunc::kSum, Expr::Column(1), "sum"};
   uint64_t makespan = 0;
   for (auto _ : state) {
-    auto rs = cluster.DistributedAggregate("readings", nullptr, "", {cnt, sum});
+    auto rs = AggregateReadings(&cluster, {cnt, sum});
     makespan = cluster.last_query_stats().makespan_nanos;
     benchmark::DoNotOptimize(rs->rows[0][1].NumericValue());
   }
@@ -146,7 +156,7 @@ void Soe_ChaosAvailability(benchmark::State& state) {
   uint64_t virtual_start = cluster.network().virtual_nanos();
   uint64_t retries_start = cluster.total_retries();
   for (auto _ : state) {
-    auto rs = cluster.DistributedAggregate("readings", nullptr, "", {cnt, sum});
+    auto rs = AggregateReadings(&cluster, {cnt, sum});
     if (rs.ok()) {
       ++served;
       benchmark::DoNotOptimize(rs->rows[0][1].NumericValue());
@@ -193,7 +203,7 @@ void Soe_ChaosRecovery(benchmark::State& state) {
     // Crash-to-served-query: kill, rebuild replicas from the log, answer.
     (void)cluster.KillNode(0);
     (void)cluster.Rebalance();
-    auto rs = cluster.DistributedAggregate("readings", nullptr, "", {cnt});
+    auto rs = AggregateReadings(&cluster, {cnt});
     benchmark::DoNotOptimize(rs->rows[0][0]);
     replayed = cluster.log().Tail();
   }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Documentation freshness gate (ctest label: docs).
 #
-# The docs make seven kinds of checkable claims, and each has rotted at
+# The docs make eight kinds of checkable claims, and each has rotted at
 # least once before this gate existed:
 #   1. repo paths in backticks (`src/...`, `tests/...`, `scripts/...`)
 #   2. section references of the form `DESIGN.md §N` — in the docs AND in
@@ -16,9 +16,12 @@
 #      names a benchmark row AND quotes a unit figure (ns/us/ms/rows/s/%)
 #      in a file with no bench-quote annotation for that row is drift
 #      check 6 can never catch — flagged here
+#   8. backticked `Type::Member` names in README, DESIGN and EXPERIMENTS
+#      (also `Type::A/B`): each member must appear in a src/ header that
+#      declares `class Type` or `struct Type`
 #
-# `--selftest-figures` runs check 7 against a deliberately planted
-# violation (and a properly annotated control) instead of the real docs;
+# `--selftest-figures` runs checks 7 and 8 against deliberately planted
+# violations (and correct controls) instead of the real docs;
 # tests/CMakeLists.txt registers it as the gate's negative test.
 #
 # Fails loudly with every stale reference, not just the first.
@@ -62,6 +65,32 @@ check_unannotated_figures() {
   done
 }
 
+# ---- 8 (function; called below, and by --selftest-figures) ---------------
+# An API name in prose is what a reader greps the headers for; a renamed or
+# deleted member leaves the doc pointing at nothing. Each `/`-separated
+# member, up to its first non-identifier character, must occur as a word
+# in some src/ header declaring the type.
+check_member_names() {
+  local doc span type member headers
+  for doc in "$@"; do
+    [ -f "$doc" ] || continue
+    while IFS= read -r span; do
+      type=${span%%::*}
+      headers=$(grep -rlE "(class|struct) ${type}\b" src --include='*.h')
+      if [ -z "$headers" ]; then
+        fail "$doc names \`${span}\` but no src/ header declares ${type}"
+        continue
+      fi
+      for member in $(echo "${span#*::}" | grep -oE '^[A-Za-z_][A-Za-z0-9_/]*' | tr '/' ' '); do
+        # shellcheck disable=SC2086  # $headers is a list of paths
+        grep -qw -- "$member" $headers ||
+          fail "$doc names \`${span}\` but no src/ header declaring ${type} has '${member}'"
+      done
+    done < <(grep -oE '`[^`]+`' "$doc" | tr -d '`' |
+             grep -E '^[A-Z][A-Za-z0-9_]*::[A-Za-z_]' | sort -u)
+  done
+}
+
 if [ "${1:-}" = "--selftest-figures" ]; then
   name=$(awk '$2 ~ /^[0-9.]+$/ && $3 ~ /^(ns|us|ms|s)$/ {
                 split($1, a, "/"); print a[1]; exit
@@ -77,12 +106,24 @@ if [ "${1:-}" = "--selftest-figures" ]; then
   planted=$failures
   check_unannotated_figures "$tmp/annotated.md"
   control=$((failures - planted))
+  # Planted check-8 drift: a registry member no header declares; control:
+  # the real one.
+  printf 'Look instruments up with `Registry::GetCounter(name)`.\n' > "$tmp/member.md"
+  printf 'Look instruments up with `Registry::counter(name)`.\n' > "$tmp/member_ok.md"
+  before=$failures
+  check_member_names "$tmp/member.md"
+  planted_member=$((failures - before))
+  before=$failures
+  check_member_names "$tmp/member_ok.md"
+  control_member=$((failures - before))
   rm -rf "$tmp"
-  if [ "$planted" -ge 1 ] && [ "$control" -eq 0 ]; then
-    echo "check_docs: selftest OK (planted drift flagged, annotated control clean)"
+  if [ "$planted" -ge 1 ] && [ "$control" -eq 0 ] &&
+     [ "$planted_member" -ge 1 ] && [ "$control_member" -eq 0 ]; then
+    echo "check_docs: selftest OK (planted drift flagged, controls clean)"
     exit 0
   fi
-  echo "check_docs: SELFTEST FAILED (planted=$planted flagged, control=$control flagged)" >&2
+  echo "check_docs: SELFTEST FAILED (figures: planted=$planted flagged, control=$control flagged;" \
+       "members: planted=$planted_member flagged, control=$control_member flagged)" >&2
   exit 1
 fi
 
@@ -219,6 +260,9 @@ fi
 
 # ---- 7. figures quoted beside bench rows must carry an annotation --------
 check_unannotated_figures README.md EXPERIMENTS.md
+
+# ---- 8. backticked Type::Member names must exist in src/ headers ---------
+check_member_names README.md DESIGN.md EXPERIMENTS.md
 
 # ---- summary ------------------------------------------------------------
 if [ "$failures" -gt 0 ]; then

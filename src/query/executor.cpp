@@ -46,6 +46,7 @@ std::string SpanLabel(const PlanNode& node) {
       if (node.scan_predicate) label += ", pushed predicate";
       return label + ")";
     }
+    case PlanKind::kRows: return "Rows(" + node.table + ")";
     case PlanKind::kFilter: return "Filter";
     case PlanKind::kProject: return "Project";
     case PlanKind::kHashJoin: return "HashJoin";
@@ -534,6 +535,9 @@ StatusOr<ResultSet> Executor::Exec(const PlanNode& node) {
 StatusOr<ResultSet> Executor::Dispatch(const PlanNode& node) {
   switch (node.kind) {
     case PlanKind::kScan: return ExecScan(node);
+    case PlanKind::kRows:
+      if (node.rows == nullptr) return Status::InvalidArgument("unbound row input " + node.table);
+      return *node.rows;
     case PlanKind::kFilter: return ExecFilter(node);
     case PlanKind::kProject: return ExecProject(node);
     case PlanKind::kHashJoin: return ExecHashJoin(node);

@@ -26,6 +26,11 @@ std::string PlanNode::ToString(int indent) const {
       if (scan_columns) out += ", cols=" + ColumnList(*scan_columns);
       out += ")";
       break;
+    case PlanKind::kRows:
+      out += "Rows(" + table;
+      if (rows) out += ", " + std::to_string(rows->num_rows()) + " rows";
+      out += ")";
+      break;
     case PlanKind::kFilter:
       out += "Filter(" + (predicate ? predicate->ToString() : "true") + ")";
       break;
@@ -81,6 +86,15 @@ PlanBuilder PlanBuilder::Scan(std::string table) {
   b.root_ = std::make_shared<PlanNode>();
   b.root_->kind = PlanKind::kScan;
   b.root_->table = std::move(table);
+  return b;
+}
+
+PlanBuilder PlanBuilder::Rows(std::string name, std::shared_ptr<const ResultSet> rows) {
+  PlanBuilder b;
+  b.root_ = std::make_shared<PlanNode>();
+  b.root_->kind = PlanKind::kRows;
+  b.root_->table = std::move(name);
+  b.root_->rows = std::move(rows);
   return b;
 }
 
@@ -207,15 +221,6 @@ std::vector<std::string> ScanOutputColumns(const PlanNode& scan, const Schema& s
     for (size_t c = 0; c < schema.num_columns(); ++c) names.push_back(schema.column(c).name);
   }
   return names;
-}
-
-PlanPtr RewriteScanTables(const PlanPtr& plan, const std::string& from,
-                          const std::string& to) {
-  if (!plan) return plan;
-  auto copy = std::make_shared<PlanNode>(*plan);
-  if (copy->kind == PlanKind::kScan && copy->table == from) copy->table = to;
-  for (auto& child : copy->children) child = RewriteScanTables(child, from, to);
-  return copy;
 }
 
 }  // namespace poly

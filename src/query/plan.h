@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "query/expr.h"
+#include "query/result.h"
 
 namespace poly {
 
@@ -15,6 +16,7 @@ namespace poly {
 /// or QueryCompiler (specialized kernels, §IV-A).
 enum class PlanKind {
   kScan,       ///< table scan with optional pushed-down predicate
+  kRows,       ///< in-memory rows bound into the plan (no table behind them)
   kFilter,
   kProject,
   kHashJoin,   ///< equi-join, builds hash table on the right input
@@ -69,6 +71,11 @@ struct PlanNode {
   /// (absent = every column). `scan_predicate` stays in table-column space.
   std::optional<std::vector<size_t>> scan_columns;
 
+  // kRows: `table` names the input (a distributed plan's staged input,
+  // bound per fragment task by the cluster); `rows` is what the leaf
+  // returns, and an unbound leaf fails to execute.
+  std::shared_ptr<const ResultSet> rows;
+
   // kFilter
   ExprPtr predicate;
 
@@ -103,6 +110,9 @@ struct PlanNode {
 class PlanBuilder {
  public:
   static PlanBuilder Scan(std::string table);
+  /// An in-memory row leaf named `name`, bound to `rows` (may be null and
+  /// bound later).
+  static PlanBuilder Rows(std::string name, std::shared_ptr<const ResultSet> rows);
   /// Wraps an existing subtree (e.g. for joins).
   static PlanBuilder From(PlanPtr node);
 
@@ -145,13 +155,6 @@ struct PartialAggLayout {
 /// the optimizer pruned it, else every schema column. Row width follows.
 /// Every entry of `scan_columns` must index `schema`.
 std::vector<std::string> ScanOutputColumns(const PlanNode& scan, const Schema& schema);
-
-/// Deep copy of `plan` with every scan of table `from` renamed to `to`.
-/// Fragment instantiation: the distributed planner emits logical table
-/// names; the cluster patches in the per-task partition table. Expressions
-/// are shared (immutable), plan nodes are copied.
-PlanPtr RewriteScanTables(const PlanPtr& plan, const std::string& from,
-                          const std::string& to);
 
 }  // namespace poly
 

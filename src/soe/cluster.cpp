@@ -1,7 +1,7 @@
 #include "soe/cluster.h"
 
 #include <algorithm>
-#include <chrono>
+#include <map>
 #include <unordered_map>
 
 #include "federation/federation.h"
@@ -94,7 +94,7 @@ void SoeCluster::PumpFaults() {
 
 // ---- retry layer ----
 
-uint64_t SoeCluster::BackoffNanos(int attempt) {
+void SoeCluster::Backoff(int attempt) {
   uint64_t backoff = options_.retry.base_backoff_nanos;
   for (int i = 0; i < attempt && backoff < options_.retry.max_backoff_nanos; ++i) {
     backoff *= 2;
@@ -102,21 +102,23 @@ uint64_t SoeCluster::BackoffNanos(int attempt) {
   backoff = std::min(backoff, options_.retry.max_backoff_nanos);
   // Half fixed + half jitter: desynchronizes competing retriers while the
   // seeded stream keeps every run replayable.
-  return backoff / 2 + jitter_rng_.Uniform(backoff / 2 + 1);
+  uint64_t wait = backoff / 2 + jitter_rng_.Uniform(backoff / 2 + 1);
+  ++total_retries_;
+  cm_.retries->Add(1);
+  cm_.backoff_nanos->Add(wait);
+  cm_.backoff_hist->Observe(wait);
+  net_.AdvanceVirtualTime(wait);
+  PumpFaults();  // time passed: scheduled heals/cuts may fire
 }
+
+void SoeCluster::CoordinatorBackoff(int attempt) { Backoff(attempt); }
 
 Status SoeCluster::WithRetries(const char* what, const std::function<Status()>& op) {
   uint64_t start = net_.virtual_nanos();
   Status st;
   for (int attempt = 0; attempt < options_.retry.max_attempts; ++attempt) {
     if (attempt > 0) {
-      ++total_retries_;
-      cm_.retries->Add(1);
-      uint64_t wait = BackoffNanos(attempt - 1);
-      cm_.backoff_nanos->Add(wait);
-      cm_.backoff_hist->Observe(wait);
-      net_.AdvanceVirtualTime(wait);
-      PumpFaults();  // time passed: scheduled heals/cuts may fire
+      Backoff(attempt - 1);
       if (net_.virtual_nanos() - start >= options_.retry.op_timeout_nanos) {
         return Status::Unavailable(std::string(what) + " timed out after " +
                                    std::to_string(attempt) + " attempts: " + st.message());
@@ -210,95 +212,6 @@ Status SoeCluster::SyncForRead(SoeNode* node) {
   return Status::OK();  // OLAP nodes serve their (possibly stale) snapshot
 }
 
-StatusOr<int> SoeCluster::RouteToNode(const CatalogService::TableInfo& info,
-                                      size_t partition) const {
-  for (int n : info.placement[partition]) {
-    if (discovery_.IsAlive(n)) return n;
-  }
-  return Status::Unavailable("no live replica for partition " + std::to_string(partition));
-}
-
-StatusOr<ResultSet> SoeCluster::RunPartitionTask(const CatalogService::TableInfo& info,
-                                                 size_t p, const PlanPtr& plan,
-                                                 int* served_by) {
-  uint64_t start = net_.virtual_nanos();
-  Status last = Status::Unavailable("no live replica for partition " + std::to_string(p));
-  for (int attempt = 0; attempt < options_.retry.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      ++last_stats_.retries;
-      ++total_retries_;
-      cm_.retries->Add(1);
-      uint64_t wait = BackoffNanos(attempt - 1);
-      cm_.backoff_nanos->Add(wait);
-      cm_.backoff_hist->Observe(wait);
-      net_.AdvanceVirtualTime(wait);
-      PumpFaults();
-      if (net_.virtual_nanos() - start >= options_.retry.op_timeout_nanos) break;
-    }
-    // One pass over the replica set per attempt: primary first, then
-    // failover candidates.
-    bool on_primary = true;
-    for (int n : info.placement[p]) {
-      if (!discovery_.IsAlive(n)) {
-        on_primary = false;
-        continue;
-      }
-      SoeNode* node = nodes_[n].get();
-      ResultSet result;
-      uint64_t exec_nanos = 0;
-      uint64_t gathered = 0;
-      Status st = [&]() -> Status {
-        // Task dispatch (coordinator -> node), freshness sync (node <-> log),
-        // local execution, then the result rows (node -> coordinator). Any
-        // lost message fails the whole task; nothing merges until the task
-        // round-trip fully succeeds, so retries can never double-count.
-        POLY_RETURN_IF_ERROR(net_.Send(kCoordinatorEndpoint, n, 256));
-        POLY_RETURN_IF_ERROR(SyncForRead(node));
-        uint64_t before = node->busy_nanos();
-        POLY_ASSIGN_OR_RETURN(result, node->ExecuteLocal(plan));
-        exec_nanos = node->busy_nanos() - before;
-        for (const Row& row : result.rows) {
-          uint64_t row_bytes = EstimateRowBytes(row);
-          POLY_RETURN_IF_ERROR(net_.Send(n, kCoordinatorEndpoint, row_bytes));
-          gathered += row_bytes;
-        }
-        return Status::OK();
-      }();
-      if (st.ok()) {
-        if (!on_primary) {
-          ++last_stats_.failovers;
-          cm_.dqp_failovers->Add(1);
-        }
-        last_stats_.result_bytes_gathered += gathered;
-        last_stats_.total_exec_nanos += exec_nanos;
-        stats_.RecordQuery(n, 0, exec_nanos);
-        if (n >= 0 && n < static_cast<int>(cm_.node_rpcs.size())) {
-          cm_.node_rpcs[n]->Add(1);
-        }
-        cm_.task_nanos->Observe(net_.virtual_nanos() - start);
-        if (trace_) {
-          const PlanNode* scan = plan.get();
-          while (!scan->children.empty()) scan = scan->children[0].get();
-          OperatorSpan task;
-          task.label =
-              "PartitionTask(" + scan->table + "@node" + std::to_string(n) + ")";
-          task.rows_out = result.rows.size();
-          task.bytes_out = gathered;
-          task.wall_nanos = net_.virtual_nanos() - start;
-          task_spans_.push_back(std::move(task));
-        }
-        *served_by = n;
-        return result;
-      }
-      if (!st.IsUnavailable()) return st;  // execution errors are not transient
-      last = st;
-      on_primary = false;
-    }
-  }
-  return Status::Unavailable("partition " + std::to_string(p) +
-                             " task failed after retries: " + last.message());
-}
-
 void SoeCluster::FinishTrace(const std::string& label, uint64_t trace_start,
                              ResultSet* out) {
   if (!trace_) return;
@@ -316,33 +229,17 @@ void SoeCluster::FinishTrace(const std::string& label, uint64_t trace_start,
   last_trace_ = root;
 }
 
-void SoeCluster::CoordinatorBackoff(int attempt) {
-  ++total_retries_;
-  cm_.retries->Add(1);
-  uint64_t wait = BackoffNanos(attempt);
-  cm_.backoff_nanos->Add(wait);
-  cm_.backoff_hist->Observe(wait);
-  net_.AdvanceVirtualTime(wait);
-  PumpFaults();
-}
-
 StatusOr<ResultSet> SoeCluster::RunFragmentTask(
     const std::string& label, const std::vector<int>& candidates,
     bool sync_for_read, const PlanPtr& plan,
-    const std::vector<SoeNode::FragmentInput>& inputs, bool gather_rows,
+    const std::vector<std::pair<int, uint64_t>>& deliveries, bool gather_rows,
     int* served_by) {
   uint64_t start = net_.virtual_nanos();
   Status last = Status::Unavailable("no live node for " + label);
   for (int attempt = 0; attempt < options_.retry.max_attempts; ++attempt) {
     if (attempt > 0) {
       ++last_stats_.retries;
-      ++total_retries_;
-      cm_.retries->Add(1);
-      uint64_t wait = BackoffNanos(attempt - 1);
-      cm_.backoff_nanos->Add(wait);
-      cm_.backoff_hist->Observe(wait);
-      net_.AdvanceVirtualTime(wait);
-      PumpFaults();
+      Backoff(attempt - 1);
       if (net_.virtual_nanos() - start >= options_.retry.op_timeout_nanos) break;
     }
     // One pass over the candidate nodes per attempt: preferred site first,
@@ -360,30 +257,25 @@ StatusOr<ResultSet> SoeCluster::RunFragmentTask(
       uint64_t shuffled = 0;
       Status st = [&]() -> Status {
         // Task dispatch, optional freshness sync, staged-input delivery
-        // (producer -> serving node, charged at consumption time — rows a
-        // node itself produced ride for free), local execution, and for
-        // gather stages the result rows (node -> coordinator). Any lost
-        // message fails the whole task; nothing merges until the round
-        // trip fully succeeds, so retries can never double-count.
+        // (one message per producer node and input, charged at consumption
+        // time — rows a node itself produced ride for free), local
+        // execution, and for gather stages the result (one message to the
+        // coordinator). Any lost message fails the whole task; nothing
+        // merges until the round trip fully succeeds, so retries can never
+        // double-count.
         POLY_RETURN_IF_ERROR(net_.Send(kCoordinatorEndpoint, n, 256));
         if (sync_for_read) POLY_RETURN_IF_ERROR(SyncForRead(node));
-        for (const SoeNode::FragmentInput& input : inputs) {
-          for (const auto& [producer, row] : *input.rows) {
-            if (producer == n) continue;
-            uint64_t row_bytes = EstimateRowBytes(row);
-            POLY_RETURN_IF_ERROR(net_.Send(producer, n, row_bytes));
-            shuffled += row_bytes;
-          }
+        for (const auto& [producer, bytes] : deliveries) {
+          if (producer == n) continue;
+          POLY_RETURN_IF_ERROR(net_.Send(producer, n, bytes));
+          shuffled += bytes;
         }
         uint64_t before = node->busy_nanos();
-        POLY_ASSIGN_OR_RETURN(result, node->ExecuteFragment(plan, inputs));
+        POLY_ASSIGN_OR_RETURN(result, node->ExecuteLocal(plan));
         exec_nanos = node->busy_nanos() - before;
         if (gather_rows) {
-          for (const Row& row : result.rows) {
-            uint64_t row_bytes = EstimateRowBytes(row);
-            POLY_RETURN_IF_ERROR(net_.Send(n, kCoordinatorEndpoint, row_bytes));
-            gathered += row_bytes;
-          }
+          for (const Row& row : result.rows) gathered += EstimateRowBytes(row);
+          POLY_RETURN_IF_ERROR(net_.Send(n, kCoordinatorEndpoint, gathered));
         }
         return Status::OK();
       }();
@@ -419,17 +311,43 @@ StatusOr<ResultSet> SoeCluster::RunFragmentTask(
   return Status::Unavailable(label + " failed after retries: " + last.message());
 }
 
+namespace {
+
+/// Rows routed to one consumer task of a stage (or, for a broadcast, to
+/// all of them), in arrival order, with the bytes each producer sent.
+struct Mailbox {
+  std::shared_ptr<ResultSet> rows;
+  std::map<int, uint64_t> bytes_from;  ///< producer node -> payload bytes
+};
+
+/// One task's copy of a fragment plan (expressions stay shared): scans of
+/// `table` read `part_table`, and every row leaf is bound to the rows
+/// staged for this task under its name.
+PlanPtr BindTask(const PlanPtr& plan, const std::string& table,
+                 const std::string& part_table,
+                 const std::map<std::string, std::shared_ptr<const ResultSet>>& inputs) {
+  auto copy = std::make_shared<PlanNode>(*plan);
+  if (copy->kind == PlanKind::kScan && copy->table == table) copy->table = part_table;
+  if (copy->kind == PlanKind::kRows) {
+    auto it = inputs.find(copy->table);
+    if (it != inputs.end()) copy->rows = it->second;
+  }
+  for (auto& child : copy->children) child = BindTask(child, table, part_table, inputs);
+  return copy;
+}
+
+}  // namespace
+
 StatusOr<ResultSet> SoeCluster::RunFragments(const DistributedPlan& dplan) {
   PumpFaults();
   last_stats_ = DistributedQueryStats{};
   uint64_t trace_start = net_.virtual_nanos();
   if (trace_) task_spans_.clear();
 
-  // Coordinator mailboxes: outbox[stage][consumer task] holds rows tagged
-  // with their producer node. Routing is decided as soon as a producer task
-  // commits; delivery is charged when the consuming task runs.
-  using Box = std::vector<std::pair<int, Row>>;
-  std::vector<std::vector<Box>> outbox(dplan.stages.size());
+  // Coordinator mailboxes: outbox[stage][consumer task]. Routing is decided
+  // as soon as a producer task commits; delivery is charged when the
+  // consuming task runs.
+  std::vector<std::vector<Mailbox>> outbox(dplan.stages.size());
 
   std::vector<int> consumer_of(dplan.stages.size(), -1);
   for (size_t s = 0; s < dplan.stages.size(); ++s) {
@@ -448,13 +366,21 @@ StatusOr<ResultSet> SoeCluster::RunFragments(const DistributedPlan& dplan) {
 
   for (size_t s = 0; s < dplan.stages.size(); ++s) {
     const FragmentStage& st = dplan.stages[s];
+    size_t boxes = 0;
     if (st.mode == ExchangeMode::kBroadcast) {
-      outbox[s].resize(1);
+      boxes = 1;
     } else if (st.mode == ExchangeMode::kRepartition) {
       if (consumer_of[s] < 0) {
         return Status::Internal("repartition stage has no consumer");
       }
-      outbox[s].resize(TaskCount(dplan.stages[consumer_of[s]]));
+      boxes = TaskCount(dplan.stages[consumer_of[s]]);
+    }
+    for (size_t b = 0; b < boxes; ++b) {
+      auto rows = std::make_shared<ResultSet>();
+      for (size_t c = 0; c < st.output_width; ++c) {
+        rows->column_names.push_back("_c" + std::to_string(c));
+      }
+      outbox[s].push_back({std::move(rows), {}});
     }
     const CatalogService::TableInfo* info = nullptr;
     if (st.by_partition) {
@@ -464,16 +390,15 @@ StatusOr<ResultSet> SoeCluster::RunFragments(const DistributedPlan& dplan) {
     size_t ntasks = TaskCount(st);
     for (size_t t = 0; t < ntasks; ++t) {
       PumpFaults();  // task edges are the deterministic fault-firing points
-      PlanPtr task_plan = st.plan;
       std::vector<int> candidates;
+      std::string part_table;
       std::string label;
       if (st.by_partition) {
         size_t p = st.partitions[t];
         if (p >= info->placement.size()) {
           return Status::Internal("partition id out of range for " + st.table);
         }
-        std::string part_table = PartitionTableName(st.table, p);
-        task_plan = RewriteScanTables(st.plan, st.table, part_table);
+        part_table = PartitionTableName(st.table, p);
         candidates = info->placement[p];
         label = "Fragment(" + st.label + ":" + part_table + ")";
       } else {
@@ -487,35 +412,39 @@ StatusOr<ResultSet> SoeCluster::RunFragments(const DistributedPlan& dplan) {
                           live.begin() + static_cast<std::ptrdiff_t>(off));
         label = "Fragment(" + st.label + ":t" + std::to_string(t) + ")";
       }
-      std::vector<SoeNode::FragmentInput> inputs;
+      std::map<std::string, std::shared_ptr<const ResultSet>> bound;
+      std::vector<std::pair<int, uint64_t>> deliveries;
       for (const StagedInput& in : st.inputs) {
-        const std::vector<Box>& boxes = outbox[in.producer_stage];
-        const Box* rows = &boxes[boxes.size() == 1 ? 0 : t];
-        inputs.push_back({in.name, in.width, rows});
+        const std::vector<Mailbox>& staged = outbox[in.producer_stage];
+        const Mailbox& box = staged[staged.size() == 1 ? 0 : t];
+        bound[in.name] = box.rows;
+        deliveries.insert(deliveries.end(), box.bytes_from.begin(), box.bytes_from.end());
       }
+      PlanPtr task_plan = BindTask(st.plan, st.table, part_table, bound);
       int served_by = -1;
       uint64_t before_exec = last_stats_.total_exec_nanos;
       POLY_ASSIGN_OR_RETURN(
           ResultSet part,
-          RunFragmentTask(label, candidates, st.by_partition, task_plan, inputs,
+          RunFragmentTask(label, candidates, st.by_partition, task_plan, deliveries,
                           st.mode == ExchangeMode::kGather, &served_by));
       node_nanos[served_by] += last_stats_.total_exec_nanos - before_exec;
       ++last_stats_.fragments;
       if (st.mode == ExchangeMode::kGather) {
         for (Row& row : part.rows) gathered.rows.push_back(std::move(row));
-      } else if (st.mode == ExchangeMode::kBroadcast) {
-        for (Row& row : part.rows) {
-          outbox[s][0].emplace_back(served_by, std::move(row));
-        }
-      } else {
-        size_t buckets = outbox[s].size();
-        for (Row& row : part.rows) {
+        continue;
+      }
+      for (Row& row : part.rows) {
+        size_t b = 0;
+        if (st.mode == ExchangeMode::kRepartition) {
           // Same FNV fold as the executor's group/join keys: equal key
           // values always land on the same consumer.
           size_t h = 1469598103934665603ULL;
           for (size_t key : st.keys) h = (h ^ row[key].Hash()) * 1099511628211ULL;
-          outbox[s][h % buckets].emplace_back(served_by, std::move(row));
+          b = h % boxes;
         }
+        Mailbox& box = outbox[s][b];
+        box.bytes_from[served_by] += EstimateRowBytes(row);
+        box.rows->rows.push_back(std::move(row));
       }
     }
   }
@@ -530,203 +459,6 @@ StatusOr<ResultSet> SoeCluster::RunFragments(const DistributedPlan& dplan) {
   cm_.dqp_fragments->Add(last_stats_.fragments);
   FinishTrace("DistributedQuery(" + dplan.strategy + ")", trace_start, &gathered);
   return gathered;
-}
-
-namespace {
-
-/// Mergeable partial accumulator.
-struct Partial {
-  double sum = 0;
-  double count = 0;
-  Value min, max;
-  bool has_minmax = false;
-};
-
-/// What each user aggregate needs from the partials.
-struct AggPlanEntry {
-  AggFunc func;
-  size_t partial_index;  ///< index into the per-node partial column list
-};
-
-}  // namespace
-
-StatusOr<ResultSet> SoeCluster::DistributedAggregate(const std::string& table,
-                                                     const ExprPtr& predicate,
-                                                     const std::string& group_column,
-                                                     std::vector<AggSpec> aggregates) {
-  PumpFaults();
-  POLY_ASSIGN_OR_RETURN(const CatalogService::TableInfo* info, catalog_.Lookup(table));
-  last_stats_ = DistributedQueryStats{};
-  last_stats_.partitions = info->spec.num_partitions;
-  uint64_t trace_start = net_.virtual_nanos();
-  if (trace_) task_spans_.clear();
-
-  int group_col = -1;
-  if (!group_column.empty()) {
-    POLY_ASSIGN_OR_RETURN(size_t g, info->schema.IndexOf(group_column));
-    group_col = static_cast<int>(g);
-  }
-
-  // Rewrite user aggregates into mergeable partials: AVG -> SUM + COUNT;
-  // everything else maps 1:1. Partial i occupies one output column of the
-  // per-partition local aggregation.
-  std::vector<AggSpec> partial_aggs;
-  std::vector<AggPlanEntry> plan;
-  std::vector<AggFunc> partial_kind;
-  for (const AggSpec& agg : aggregates) {
-    if (agg.func == AggFunc::kAvg) {
-      plan.push_back({AggFunc::kAvg, partial_aggs.size()});
-      partial_aggs.push_back({AggFunc::kSum, agg.input, "s"});
-      partial_kind.push_back(AggFunc::kSum);
-      partial_aggs.push_back({AggFunc::kCount, agg.input, "c"});
-      partial_kind.push_back(AggFunc::kCount);
-    } else {
-      plan.push_back({agg.func, partial_aggs.size()});
-      partial_aggs.push_back({agg.func, agg.input, "p"});
-      partial_kind.push_back(agg.func);
-    }
-  }
-
-  struct ValueHash {
-    size_t operator()(const Value& v) const { return v.Hash(); }
-  };
-  std::unordered_map<Value, std::vector<Partial>, ValueHash> groups;
-  std::vector<Value> group_order;
-
-  std::unordered_map<int, uint64_t> node_nanos;
-  for (size_t p = 0; p < info->spec.num_partitions; ++p) {
-    PlanBuilder builder = PlanBuilder::Scan(PartitionTableName(table, p));
-    if (predicate) builder = std::move(builder).Filter(predicate);
-    std::vector<size_t> group_by;
-    if (group_col >= 0) group_by.push_back(static_cast<size_t>(group_col));
-    PlanPtr local_plan = std::move(builder).Aggregate(group_by, partial_aggs).Build();
-
-    int served_by = -1;
-    uint64_t before_exec = last_stats_.total_exec_nanos;
-    POLY_ASSIGN_OR_RETURN(ResultSet partial, RunPartitionTask(*info, p, local_plan,
-                                                              &served_by));
-    node_nanos[served_by] += last_stats_.total_exec_nanos - before_exec;
-
-    for (const Row& row : partial.rows) {
-      Value key = group_col >= 0 ? row[0] : Value::Null();
-      size_t base = group_col >= 0 ? 1 : 0;
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        it = groups.emplace(key, std::vector<Partial>(partial_aggs.size())).first;
-        group_order.push_back(key);
-      }
-      std::vector<Partial>& acc = it->second;
-      for (size_t a = 0; a < partial_aggs.size(); ++a) {
-        const Value& v = row[base + a];
-        if (v.is_null()) continue;
-        Partial& part = acc[a];
-        switch (partial_kind[a]) {
-          case AggFunc::kSum:
-            part.sum += v.NumericValue();
-            part.count += 1;  // marks non-null
-            break;
-          case AggFunc::kCount:
-            part.count += v.NumericValue();
-            break;
-          case AggFunc::kMin:
-            if (!part.has_minmax || v < part.min) part.min = v;
-            part.has_minmax = true;
-            break;
-          case AggFunc::kMax:
-            if (!part.has_minmax || part.max < v) part.max = v;
-            part.has_minmax = true;
-            break;
-          case AggFunc::kAvg:
-            break;  // never a partial kind
-        }
-      }
-    }
-  }
-
-  last_stats_.nodes_used = node_nanos.size();
-  for (const auto& [_, nanos] : node_nanos) {
-    last_stats_.makespan_nanos = std::max(last_stats_.makespan_nanos, nanos);
-  }
-  cm_.dqp_queries->Add(1);
-  cm_.dqp_result_bytes->Add(last_stats_.result_bytes_gathered);
-
-  // Finalize.
-  ResultSet out;
-  if (group_col >= 0) out.column_names.push_back(group_column);
-  for (const AggSpec& agg : aggregates) out.column_names.push_back(agg.output_name);
-  // Global aggregate with zero partial rows still yields one zero row.
-  if (group_col < 0 && group_order.empty()) {
-    groups.emplace(Value::Null(), std::vector<Partial>(partial_aggs.size()));
-    group_order.push_back(Value::Null());
-  }
-  for (const Value& key : group_order) {
-    const std::vector<Partial>& acc = groups[key];
-    Row row;
-    if (group_col >= 0) row.push_back(key);
-    for (const AggPlanEntry& entry : plan) {
-      const Partial& a = acc[entry.partial_index];
-      switch (entry.func) {
-        case AggFunc::kCount:
-          row.push_back(Value::Int(static_cast<int64_t>(a.count)));
-          break;
-        case AggFunc::kSum:
-          row.push_back(a.count > 0 ? Value::Dbl(a.sum) : Value::Null());
-          break;
-        case AggFunc::kMin:
-          row.push_back(a.has_minmax ? a.min : Value::Null());
-          break;
-        case AggFunc::kMax:
-          row.push_back(a.has_minmax ? a.max : Value::Null());
-          break;
-        case AggFunc::kAvg: {
-          const Partial& count_part = acc[entry.partial_index + 1];
-          row.push_back(count_part.count > 0
-                            ? Value::Dbl(a.sum / count_part.count)
-                            : Value::Null());
-          break;
-        }
-      }
-    }
-    out.rows.push_back(std::move(row));
-  }
-  FinishTrace("DistributedAggregate(" + table + ")", trace_start, &out);
-  return out;
-}
-
-StatusOr<ResultSet> SoeCluster::DistributedScan(const std::string& table,
-                                                const ExprPtr& predicate) {
-  PumpFaults();
-  POLY_ASSIGN_OR_RETURN(const CatalogService::TableInfo* info, catalog_.Lookup(table));
-  last_stats_ = DistributedQueryStats{};
-  last_stats_.partitions = info->spec.num_partitions;
-  uint64_t trace_start = net_.virtual_nanos();
-  if (trace_) task_spans_.clear();
-  ResultSet out;
-  for (size_t c = 0; c < info->schema.num_columns(); ++c) {
-    out.column_names.push_back(info->schema.column(c).name);
-  }
-  std::unordered_map<int, uint64_t> node_nanos;
-  for (size_t p = 0; p < info->spec.num_partitions; ++p) {
-    PlanBuilder builder = PlanBuilder::Scan(PartitionTableName(table, p));
-    if (predicate) builder = std::move(builder).Filter(predicate);
-    PlanPtr local_plan = std::move(builder).Build();
-    int served_by = -1;
-    uint64_t before_exec = last_stats_.total_exec_nanos;
-    POLY_ASSIGN_OR_RETURN(ResultSet part, RunPartitionTask(*info, p, local_plan,
-                                                           &served_by));
-    node_nanos[served_by] += last_stats_.total_exec_nanos - before_exec;
-    for (Row& row : part.rows) {
-      out.rows.push_back(std::move(row));
-    }
-  }
-  last_stats_.nodes_used = node_nanos.size();
-  for (const auto& [_, nanos] : node_nanos) {
-    last_stats_.makespan_nanos = std::max(last_stats_.makespan_nanos, nanos);
-  }
-  cm_.dqp_queries->Add(1);
-  cm_.dqp_result_bytes->Add(last_stats_.result_bytes_gathered);
-  FinishTrace("DistributedScan(" + table + ")", trace_start, &out);
-  return out;
 }
 
 Status SoeCluster::SetNodeMode(int node, NodeMode mode) {

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -23,7 +24,7 @@ struct DistributedQueryStats {
   uint64_t result_bytes_gathered = 0;
   uint64_t makespan_nanos = 0;  ///< max per-node local execution time
   uint64_t total_exec_nanos = 0;
-  uint64_t retries = 0;    ///< per-partition task attempts beyond the first
+  uint64_t retries = 0;    ///< fragment task attempts beyond the first
   uint64_t failovers = 0;  ///< tasks answered by a non-primary replica
   /// Node-to-node staged-input delivery bytes (shuffle/broadcast traffic;
   /// rows consumed on the node that produced them ride for free).
@@ -89,25 +90,16 @@ class SoeCluster {
 
   // ---- Reads (distributed query coordinator, v2dqp) ----
 
-  /// Scatter/gather aggregate: predicate + aggregates (+ optional group-by
-  /// column) evaluated per partition, partials merged at the coordinator.
-  /// AVG is decomposed into SUM+COUNT for mergeability. Per-partition tasks
-  /// retry with backoff and fail over across replicas.
-  StatusOr<ResultSet> DistributedAggregate(const std::string& table,
-                                           const ExprPtr& predicate,
-                                           const std::string& group_column,
-                                           std::vector<AggSpec> aggregates);
-
-  /// Scatter/gather row collection (same retry/failover discipline).
-  StatusOr<ResultSet> DistributedScan(const std::string& table, const ExprPtr& predicate);
-
-  /// Executes a lowered distributed plan (DESIGN.md §14): stages run in
-  /// topological order; partition-sited fragments retry with replica
-  /// failover, node-sited shuffle consumers fail over to any live node.
-  /// Repartition/broadcast outputs stay in coordinator mailboxes and are
-  /// charged on the fabric producer->consumer when the consuming task runs
-  /// (co-located rows are free); only gather stages pay coordinator
-  /// traffic. Returns the last stage's gathered rows.
+  /// Executes a lowered distributed plan (DESIGN.md §14) — every
+  /// distributed read, from a pruned scan to a shuffled join, runs here:
+  /// stages run in topological order; partition-sited fragments retry with
+  /// replica failover, node-sited shuffle consumers fail over to any live
+  /// node. Repartition/broadcast outputs stay in coordinator mailboxes and
+  /// are bound into the consumer task's row leaves; delivery is charged
+  /// when the consuming task runs, one fabric message per producer node
+  /// and staged input (co-located rows are free). Only gather stages pay
+  /// coordinator traffic, one message per task result. Returns the last
+  /// stage's gathered rows.
   StatusOr<ResultSet> RunFragments(const DistributedPlan& plan);
 
   /// One coordinator-side backoff step between whole-query attempts (the
@@ -118,10 +110,10 @@ class SoeCluster {
   const DistributedQueryStats& last_query_stats() const { return last_stats_; }
 
   /// Coordinator-side tracing of distributed queries. When on, each
-  /// DistributedScan/DistributedAggregate attaches an OperatorSpan tree to
-  /// its ResultSet: the coordinator span on top, one child span per
-  /// per-partition task (labeled with the partition table and serving
-  /// node, timed in virtual nanos). The coordinator loop is
+  /// RunFragments attaches an OperatorSpan tree to its ResultSet: the
+  /// `DistributedQuery(<strategy>)` span on top, one child span per
+  /// fragment task (labeled with its stage, partition table or task index,
+  /// and serving node, timed in virtual nanos). The coordinator loop is
   /// single-threaded; tracing is not safe across concurrent distributed
   /// queries on one cluster.
   void set_trace(bool on) { trace_ = on; }
@@ -180,28 +172,25 @@ class SoeCluster {
   metrics::Registry& metrics() { return metrics_; }
 
  private:
-  /// First live node hosting a partition (primary preferred).
-  StatusOr<int> RouteToNode(const CatalogService::TableInfo& info, size_t partition) const;
   /// Brings an OLTP node up to the log tail before it serves a read.
   Status SyncForRead(SoeNode* node);
   /// Runs `op` with bounded retries/backoff on Unavailable. Non-retryable
   /// errors pass through unchanged.
   Status WithRetries(const char* what, const std::function<Status()>& op);
-  /// Backoff for `attempt` (0-based): exponential, capped, half jittered.
-  uint64_t BackoffNanos(int attempt);
-  /// Dispatches `plan` for partition `p` to a live replica with retry and
-  /// failover; on success returns the rows and the serving node via `served_by`.
-  StatusOr<ResultSet> RunPartitionTask(const CatalogService::TableInfo& info,
-                                       size_t p, const PlanPtr& plan, int* served_by);
+  /// The one retry wait every retry loop takes before retry `attempt`
+  /// (0-based): exponential, capped, half jittered; counted in the retry
+  /// metrics, slept in virtual time, then due fault events fire.
+  void Backoff(int attempt);
   /// Runs one fragment task with bounded retries: each attempt walks the
-  /// candidate nodes in order (skipping dead ones), charges dispatch +
-  /// staged-input delivery + (for gather stages) per-row results on the
-  /// fabric, and executes the fragment on the serving node. Nothing merges
-  /// until a full attempt succeeds, so retries never double-count.
+  /// candidate nodes in order (skipping dead ones), charges dispatch, the
+  /// staged-input `deliveries` (producer node, bytes) and, for gather
+  /// stages, the result on the fabric, and executes the fragment on the
+  /// serving node. Nothing merges until a full attempt succeeds, so
+  /// retries never double-count.
   StatusOr<ResultSet> RunFragmentTask(
       const std::string& label, const std::vector<int>& candidates,
       bool sync_for_read, const PlanPtr& plan,
-      const std::vector<SoeNode::FragmentInput>& inputs, bool gather_rows,
+      const std::vector<std::pair<int, uint64_t>>& deliveries, bool gather_rows,
       int* served_by);
   /// When tracing: wraps the per-task spans collected since `trace_start`
   /// under a coordinator span and attaches it to `out` + last_trace().

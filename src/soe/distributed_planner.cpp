@@ -53,17 +53,16 @@ std::vector<size_t> PrunePartitions(const ExprPtr& predicate,
   return all;
 }
 
-/// Staging table name of stage `index` ("__dist." keeps it clear of user
-/// tables and the "#p"-suffixed partition tables on the nodes).
+/// Name of stage `index`'s output, under which its consumers' row leaves
+/// receive it ("__dist." keeps it clear of user and partition tables).
 std::string StageOutputName(size_t index) {
   return "__dist.x" + std::to_string(index);
 }
 
-PlanPtr ScanOf(const std::string& table) {
-  auto scan = std::make_shared<PlanNode>();
-  scan->kind = PlanKind::kScan;
-  scan->table = table;
-  return scan;
+/// The leaf a consumer fragment reads staged input `name` through; the
+/// cluster binds each task's delivered rows into it.
+PlanPtr StagedLeaf(const std::string& name) {
+  return PlanBuilder::Rows(name, nullptr).Build();
 }
 
 /// Deep copy of `root` with the subtree whose node is `target` replaced by
@@ -138,7 +137,8 @@ StatusOr<DistributedPlan> DistributedPlanner::Plan(const PlanPtr& optimized) {
 
   if (core != optimized.get()) {
     out.residual_input = "__dist.gathered";
-    out.residual = ReplaceSubtree(optimized, core, ScanOf(out.residual_input));
+    out.residual = ReplaceSubtree(optimized, core,
+                                  PlanBuilder::Scan(out.residual_input).Build());
   }
   return out;
 }
@@ -293,14 +293,13 @@ StatusOr<bool> DistributedPlanner::LowerJoinInputs(const PlanNode& join,
     bcast.label = "broadcast(" + small.table + ")";
     int bcast_index = static_cast<int>(out->stages.size());
     std::string bcast_name = bcast.output_name;
-    size_t bcast_width = bcast.output_width;
     out->stages.push_back(std::move(bcast));
 
     // The big side's partition tasks join their local rows against the
     // staged broadcast — original left/right order (and thus the build
     // side and output column order) is preserved.
     PlanPtr big_scan = std::make_shared<PlanNode>(big);
-    PlanPtr small_scan = ScanOf(bcast_name);
+    PlanPtr small_scan = StagedLeaf(bcast_name);
     auto body = std::make_shared<PlanNode>();
     body->kind = PlanKind::kHashJoin;
     body->left_key = join.left_key;
@@ -311,7 +310,7 @@ StatusOr<bool> DistributedPlanner::LowerJoinInputs(const PlanNode& join,
     lowering->consumer_by_partition = true;
     lowering->consumer_table = big.table;
     lowering->consumer_partitions = PrunePartitions(big.scan_predicate, *big_info);
-    lowering->consumer_inputs = {{bcast_name, bcast_width, bcast_index}};
+    lowering->consumer_inputs = {{bcast_name, bcast_index}};
     lowering->strategy = "broadcast-join";
     return true;
   }
@@ -349,12 +348,11 @@ StatusOr<bool> DistributedPlanner::LowerJoinInputs(const PlanNode& join,
   body->kind = PlanKind::kHashJoin;
   body->left_key = join.left_key;
   body->right_key = join.right_key;
-  body->children = {ScanOf(shl_name), ScanOf(shr_name)};
+  body->children = {StagedLeaf(shl_name), StagedLeaf(shr_name)};
   lowering->body = body;
   lowering->consumer_by_partition = false;
   lowering->consumer_tasks = live;
-  lowering->consumer_inputs = {{shl_name, left_width, shl_index},
-                               {shr_name, right_width, shr_index}};
+  lowering->consumer_inputs = {{shl_name, shl_index}, {shr_name, shr_index}};
   lowering->strategy = "shuffle-join";
   return true;
 }
@@ -382,7 +380,6 @@ void DistributedPlanner::LowerTwoPhaseAggregate(
   partial.output_width = k + layout.num_slots();
   int partial_index = static_cast<int>(out->stages.size());
   std::string partial_name = partial.output_name;
-  size_t partial_width = partial.output_width;
   out->stages.push_back(std::move(partial));
 
   // Phase 2: merge + finalize on the shuffle consumers, gathered to the
@@ -392,8 +389,8 @@ void DistributedPlanner::LowerTwoPhaseAggregate(
   FragmentStage fin;
   fin.by_partition = false;
   fin.num_tasks = k == 0 ? 1 : live;
-  fin.inputs = {{partial_name, partial_width, partial_index}};
-  fin.plan = PlanBuilder::From(ScanOf(partial_name))
+  fin.inputs = {{partial_name, partial_index}};
+  fin.plan = PlanBuilder::From(StagedLeaf(partial_name))
                  .FinalAggregate(final_keys, agg.aggregates)
                  .Exchange(ExchangeMode::kGather)
                  .Build();

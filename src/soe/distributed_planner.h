@@ -9,11 +9,10 @@
 
 namespace poly {
 
-/// A staged (exchanged) input one fragment scans: the output of an earlier
-/// stage, materialized into a per-task staging table on the serving node.
+/// A staged (exchanged) input one fragment reads: the output of an earlier
+/// stage, bound per task into the fragment's row leaf of the same name.
 struct StagedInput {
-  std::string name;        ///< table name the fragment plan scans
-  size_t width = 0;        ///< column count of the staged rows
+  std::string name;        ///< name of the fragment plan's row leaf
   int producer_stage = -1; ///< index into DistributedPlan::stages
 };
 
@@ -30,15 +29,15 @@ struct FragmentStage {
 
   // -- the fragment --
   /// Plan every task executes. The root is a kExchange describing the
-  /// stage's output; leaf scans name either `table` (patched to the task's
-  /// partition table at dispatch) or a staged input.
+  /// stage's output; leaf scans name `table` (patched to the task's
+  /// partition table at dispatch), row leaves name a staged input.
   PlanPtr plan;
   std::vector<StagedInput> inputs;
 
   // -- output exchange (mirrors the plan root) --
   ExchangeMode mode = ExchangeMode::kGather;
   std::vector<size_t> keys;     ///< repartition hash columns
-  std::string output_name;      ///< staging table name (non-gather stages)
+  std::string output_name;      ///< consumers' row-leaf name (non-gather stages)
   size_t output_width = 0;
   std::string label;            ///< short human label for spans/annotation
 };
@@ -93,7 +92,7 @@ class DistributedPlanner {
   /// Producer stages + join body shared by the plain-join and
   /// join-then-aggregate lowerings.
   struct JoinLowering {
-    PlanPtr body;  ///< HashJoin over local/staged scans
+    PlanPtr body;  ///< HashJoin over local scans and staged row leaves
     bool consumer_by_partition = false;  ///< broadcast: big side's partitions
     std::string consumer_table;
     std::vector<size_t> consumer_partitions;

@@ -87,35 +87,6 @@ StatusOr<ResultSet> SoeNode::ExecuteLocal(const PlanPtr& plan) {
   return result;
 }
 
-StatusOr<ResultSet> SoeNode::ExecuteFragment(
-    const PlanPtr& plan, const std::vector<FragmentInput>& inputs) {
-  // Stage the exchanged inputs as transient tables. Names are planner-
-  // generated ("__dist.*"), so they can never collide with hosted
-  // partition tables; a leftover from an interrupted attempt is dropped
-  // first so retries stay idempotent.
-  for (const FragmentInput& input : inputs) {
-    (void)db_.DropTable(input.name);
-    std::vector<ColumnDef> defs;
-    defs.reserve(input.width);
-    for (size_t c = 0; c < input.width; ++c) {
-      defs.emplace_back("_c" + std::to_string(c), DataType::kInt64);
-    }
-    auto created = db_.CreateTable(input.name, Schema(std::move(defs)));
-    if (!created.ok()) return created.status();
-    for (const auto& [producer, row] : *input.rows) {
-      (void)producer;  // delivery was charged by the cluster
-      auto appended = (*created)->AppendVersion(row, /*cts_stamp=*/1);
-      if (!appended.ok()) {
-        for (const FragmentInput& in : inputs) (void)db_.DropTable(in.name);
-        return appended.status();
-      }
-    }
-  }
-  auto result = ExecuteLocal(plan);
-  for (const FragmentInput& input : inputs) (void)db_.DropTable(input.name);
-  return result;
-}
-
 StatusOr<uint64_t> SoeNode::PartitionRowCount(const std::string& table,
                                               size_t partition) const {
   POLY_ASSIGN_OR_RETURN(ColumnTable * t, db_.GetTable(PartitionTableName(table, partition)));

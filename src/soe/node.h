@@ -55,28 +55,10 @@ class SoeNode {
 
   uint64_t applied_offset() const { return applied_offset_; }
 
-  /// Query service: executes a plan against local partition tables.
+  /// Query service: executes a plan against local partition tables (a
+  /// fragment task's staged inputs arrive bound into its row leaves).
   /// Returns the result and accumulates scan statistics.
   StatusOr<ResultSet> ExecuteLocal(const PlanPtr& plan);
-
-  /// One staged input of a fragment: rows shuffled or broadcast from an
-  /// earlier stage, tagged with the node that produced them (the cluster
-  /// charges producer->consumer delivery on the fabric before the fragment
-  /// runs).
-  struct FragmentInput {
-    std::string name;    ///< table name the fragment plan scans
-    size_t width = 0;    ///< column count
-    const std::vector<std::pair<int, Row>>* rows = nullptr;
-  };
-
-  /// Query service: executes one distributed-plan fragment (DESIGN.md
-  /// §14). Staged inputs are materialized into transient local tables,
-  /// the plan runs through the same executor path as ExecuteLocal (so a
-  /// governor attached to this node admits the fragment like any ad-hoc
-  /// query), and the staging tables are dropped on every path — re-running
-  /// a fragment after a retry starts from a clean slate.
-  StatusOr<ResultSet> ExecuteFragment(const PlanPtr& plan,
-                                      const std::vector<FragmentInput>& inputs);
 
   /// Attaches the workload governor fragment/local execution admits
   /// through (satellite of DESIGN.md §13.2; null detaches).

@@ -1,6 +1,7 @@
 #include "soe/rdd.h"
 
-#include <unordered_map>
+#include "query/executor.h"
+#include "storage/mvcc.h"
 
 namespace poly {
 
@@ -59,11 +60,25 @@ auto WithLineageRecompute(SoeCluster* cluster, const Action& action)
   return action();
 }
 
+/// Runs `plan` — a scan, or an aggregate directly over one — as the
+/// planner's fragments on the cluster.
+StatusOr<ResultSet> RunPlanned(SoeCluster* cluster, const PlanPtr& plan) {
+  DistributedPlanner planner(&cluster->catalog(), &cluster->discovery());
+  POLY_ASSIGN_OR_RETURN(DistributedPlan dplan, planner.Plan(plan));
+  return cluster->RunFragments(dplan);
+}
+
 }  // namespace
+
+PlanPtr SoeRdd::ScanPlan() const {
+  PlanPtr scan = PlanBuilder::Scan(table_).Build();
+  scan->scan_predicate = pushed_predicate_;
+  return scan;
+}
 
 StatusOr<std::vector<Row>> SoeRdd::Collect() const {
   POLY_ASSIGN_OR_RETURN(ResultSet rs, WithLineageRecompute(cluster_, [&] {
-                          return cluster_->DistributedScan(table_, pushed_predicate_);
+                          return RunPlanned(cluster_, ScanPlan());
                         }));
   std::vector<Row> rows = std::move(rs.rows);
   for (const Stage& stage : stages_) {
@@ -83,10 +98,10 @@ StatusOr<std::vector<Row>> SoeRdd::Collect() const {
 
 StatusOr<uint64_t> SoeRdd::Count() const {
   if (FullyPushable()) {
-    AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
+    PlanPtr count =
+        PlanBuilder::From(ScanPlan()).Aggregate({}, {{AggFunc::kCount, nullptr, "cnt"}}).Build();
     POLY_ASSIGN_OR_RETURN(ResultSet rs, WithLineageRecompute(cluster_, [&] {
-                            return cluster_->DistributedAggregate(
-                                table_, pushed_predicate_, "", {cnt});
+                            return RunPlanned(cluster_, count);
                           }));
     return static_cast<uint64_t>(rs.rows[0][0].AsInt());
   }
@@ -96,80 +111,31 @@ StatusOr<uint64_t> SoeRdd::Count() const {
 
 StatusOr<ResultSet> SoeRdd::AggregateByKey(const std::string& group_column,
                                            std::vector<AggSpec> aggregates) const {
-  if (FullyPushable()) {
-    return WithLineageRecompute(cluster_, [&] {
-      return cluster_->DistributedAggregate(table_, pushed_predicate_, group_column,
-                                            aggregates);
-    });
-  }
-  // Framework-side fallback: collect, then group/aggregate here. Only SUM,
-  // COUNT, MIN, MAX, AVG over numeric inputs — same as the engine.
   POLY_ASSIGN_OR_RETURN(const CatalogService::TableInfo* info,
                         cluster_->catalog().Lookup(table_));
   POLY_ASSIGN_OR_RETURN(size_t group_col, info->schema.IndexOf(group_column));
+  if (FullyPushable()) {
+    PlanPtr plan = PlanBuilder::From(ScanPlan()).Aggregate({group_col}, aggregates).Build();
+    return WithLineageRecompute(cluster_, [&] { return RunPlanned(cluster_, plan); });
+  }
+  // Framework-side fallback: collect, then run the executor's aggregate
+  // over the collected rows bound into a row leaf.
   POLY_ASSIGN_OR_RETURN(std::vector<Row> rows, Collect());
-
-  struct Acc {
-    uint64_t count = 0;
-    double sum = 0;
-    bool has = false;
-    Value min, max;
-  };
-  struct ValueHash {
-    size_t operator()(const Value& v) const { return v.Hash(); }
-  };
-  std::unordered_map<Value, std::vector<Acc>, ValueHash> groups;
-  std::vector<Value> order;
   for (const Row& row : rows) {
     if (group_col >= row.size()) {
       return Status::InvalidArgument("map stage dropped the group column");
     }
-    const Value& key = row[group_col];
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      it = groups.emplace(key, std::vector<Acc>(aggregates.size())).first;
-      order.push_back(key);
-    }
-    for (size_t a = 0; a < aggregates.size(); ++a) {
-      Acc& acc = it->second[a];
-      Value v = aggregates[a].input ? aggregates[a].input->Eval(row) : Value::Int(1);
-      if (v.is_null()) continue;
-      ++acc.count;
-      acc.sum += v.NumericValue();
-      if (!acc.has || v < acc.min) acc.min = v;
-      if (!acc.has || acc.max < v) acc.max = v;
-      acc.has = true;
-    }
   }
-  ResultSet out;
-  out.column_names.push_back(group_column);
-  for (const auto& agg : aggregates) out.column_names.push_back(agg.output_name);
-  for (const Value& key : order) {
-    Row row = {key};
-    const auto& accs = groups[key];
-    for (size_t a = 0; a < aggregates.size(); ++a) {
-      const Acc& acc = accs[a];
-      switch (aggregates[a].func) {
-        case AggFunc::kCount:
-          row.push_back(Value::Int(static_cast<int64_t>(acc.count)));
-          break;
-        case AggFunc::kSum:
-          row.push_back(acc.has ? Value::Dbl(acc.sum) : Value::Null());
-          break;
-        case AggFunc::kMin:
-          row.push_back(acc.has ? acc.min : Value::Null());
-          break;
-        case AggFunc::kMax:
-          row.push_back(acc.has ? acc.max : Value::Null());
-          break;
-        case AggFunc::kAvg:
-          row.push_back(acc.count ? Value::Dbl(acc.sum / acc.count) : Value::Null());
-          break;
-      }
-    }
-    out.rows.push_back(std::move(row));
+  auto input = std::make_shared<ResultSet>();
+  for (size_t c = 0; c < info->schema.num_columns(); ++c) {
+    input->column_names.push_back(info->schema.column(c).name);
   }
-  return out;
+  input->rows = std::move(rows);
+  Database no_tables;  // the row leaf is the plan's only input
+  Executor exec(&no_tables, LatestCommittedView());
+  return exec.Execute(PlanBuilder::Rows(table_, std::move(input))
+                          .Aggregate({group_col}, std::move(aggregates))
+                          .Build());
 }
 
 }  // namespace poly

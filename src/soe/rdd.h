@@ -61,6 +61,9 @@ class SoeRdd {
     RowMapper mapper;
   };
 
+  /// The table scan with every Where() predicate pushed into it.
+  PlanPtr ScanPlan() const;
+
   SoeCluster* cluster_ = nullptr;
   std::string table_;
   ExprPtr pushed_predicate_;  // conjunction of Where() calls

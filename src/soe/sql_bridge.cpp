@@ -50,16 +50,19 @@ StatusOr<ResultSet> SoeSqlBridge::GatherAndExecute(const PlanPtr& plan) {
     if (!inserted) it->second = Expr::Or(it->second, scan->scan_predicate);
   }
 
+  // Staged, not row leaves: the plan's scans carry table-space predicates and pruned columns.
   Database staging;
   TransactionManager staging_tm;
   for (const PlanNode* scan : scans) {
     if (staging.GetTable(scan->table).ok()) continue;  // already staged
     POLY_ASSIGN_OR_RETURN(const CatalogService::TableInfo* info,
                           cluster_->catalog().Lookup(scan->table));
-    ExprPtr predicate =
-        gather_all[scan->table] ? nullptr : pushdown[scan->table];
-    POLY_ASSIGN_OR_RETURN(ResultSet gathered,
-                          cluster_->DistributedScan(scan->table, predicate));
+    // Each table's gather is itself a planned scan of whole rows.
+    PlanPtr gather = PlanBuilder::Scan(scan->table).Build();
+    gather->scan_predicate = gather_all[scan->table] ? nullptr : pushdown[scan->table];
+    DistributedPlanner planner(&cluster_->catalog(), &cluster_->discovery());
+    POLY_ASSIGN_OR_RETURN(DistributedPlan dplan, planner.Plan(gather));
+    POLY_ASSIGN_OR_RETURN(ResultSet gathered, cluster_->RunFragments(dplan));
     POLY_ASSIGN_OR_RETURN(ColumnTable * t,
                           staging.CreateTable(scan->table, info->schema));
     auto txn = staging_tm.Begin();
@@ -77,6 +80,7 @@ StatusOr<ResultSet> SoeSqlBridge::RunResidual(const DistributedPlan& dplan,
   // The residual's leaf scans the staged gather output. Declared types are
   // placeholders — column storage holds Values generically and the residual
   // expressions evaluate whatever the fragments produced.
+  // Staged, not a row leaf: perfbench/src/soe_sql.cpp stages residual_input the same way.
   Database staging;
   std::vector<ColumnDef> defs;
   defs.reserve(dplan.gather_columns.size());

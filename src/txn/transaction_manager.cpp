@@ -71,14 +71,24 @@ Status TransactionManager::Update(Transaction* txn, ColumnTable* table, uint64_t
 Status TransactionManager::Commit(Transaction* txn) {
   if (txn->state_ != TxnState::kActive) return Status::InvalidArgument("txn not active");
   std::lock_guard<std::mutex> lock(write_mu_);
+  // Durable before visible: the commit record is appended and synced
+  // before any stamp resolves or the clock moves, so a commit that returns
+  // an error is never seen — it takes the abort path instead. clock_ is
+  // only ever advanced here, under write_mu_, so commit_ts cannot change
+  // between the log write and the publish below.
+  uint64_t commit_ts = clock_.load(std::memory_order_relaxed) + 1;
+  Status logged = AppendLog(EncodeCommit(txn->id_, commit_ts));
+  if (logged.ok() && log_ != nullptr) logged = log_->Sync();
+  if (!logged.ok()) {
+    AbortLocked(txn);
+    return logged;
+  }
   // Resolve every stamp BEFORE publishing the new clock value: a reader
   // whose snapshot_ts >= commit_ts must find all of this commit's stamps
   // already rewritten, or its visible count would transiently miss rows the
   // snapshot entitles it to (the §12 oracle harness checks every observed
-  // (snapshot_ts, visible_count) pair against a serial replay). clock_ is
-  // only ever advanced here, under write_mu_, so a plain load/store pair is
-  // race-free; the release store pairs with AutoCommitView's acquire load.
-  uint64_t commit_ts = clock_.load(std::memory_order_relaxed) + 1;
+  // (snapshot_ts, visible_count) pair against a serial replay). The release
+  // store pairs with AutoCommitView's acquire load.
   for (const auto& op : txn->writes_) {
     std::visit(
         [&](auto* table) {
@@ -93,17 +103,19 @@ Status TransactionManager::Commit(Transaction* txn) {
   txn->commit_ts_ = commit_ts;
   txn->state_ = TxnState::kCommitted;
   clock_.store(commit_ts, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> snap_lock(mu_);
-    active_snapshots_.erase(txn->id_);
-  }
-  POLY_RETURN_IF_ERROR(AppendLog(EncodeCommit(txn->id_, commit_ts)));
-  return log_ ? log_->Sync() : Status::OK();
+  std::lock_guard<std::mutex> snap_lock(mu_);
+  active_snapshots_.erase(txn->id_);
+  return Status::OK();
 }
 
 Status TransactionManager::Abort(Transaction* txn) {
   if (txn->state_ != TxnState::kActive) return Status::InvalidArgument("txn not active");
   std::lock_guard<std::mutex> lock(write_mu_);
+  AbortLocked(txn);
+  return Status::OK();
+}
+
+void TransactionManager::AbortLocked(Transaction* txn) {
   // Undo in reverse: inserted versions become permanently invisible
   // (cts stays an uncommitted stamp of a dead txn); delete stamps clear.
   for (auto it = txn->writes_.rbegin(); it != txn->writes_.rend(); ++it) {
@@ -116,7 +128,6 @@ Status TransactionManager::Abort(Transaction* txn) {
   txn->state_ = TxnState::kAborted;
   std::lock_guard<std::mutex> snap_lock(mu_);
   active_snapshots_.erase(txn->id_);
-  return Status::OK();
 }
 
 Status TransactionManager::LogCreateTable(const std::string& name, const Schema& schema) {

@@ -86,6 +86,8 @@ class TransactionManager {
   /// Update = delete old version + insert new version.
   Status Update(Transaction* txn, ColumnTable* table, uint64_t row, const Row& values);
 
+  /// Appends and syncs the commit record, then makes the writes visible.
+  /// A failed append or sync aborts the transaction and returns the error.
   Status Commit(Transaction* txn);
   Status Abort(Transaction* txn);
 
@@ -111,6 +113,8 @@ class TransactionManager {
 
  private:
   Status AppendLog(std::string record);
+  /// Rolls back `txn`'s writes and retires it; caller holds write_mu_.
+  void AbortLocked(Transaction* txn);
 
   std::atomic<uint64_t> clock_{1};
   std::atomic<uint64_t> next_txn_id_{1};

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "soe/rdd.h"
+#include "soe_test_util.h"
 #include "txn/redo_log.h"
 
 namespace poly {
@@ -160,7 +161,7 @@ TEST(ChaosRetry, LossyNetworkQueriesStillExact) {
 
   AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
   for (int q = 0; q < 5; ++q) {
-    auto rs = cluster.DistributedAggregate("t", nullptr, "", {cnt});
+    auto rs = RunPlanned(&cluster, AggregateOf("t", {}, {cnt}));
     ASSERT_TRUE(rs.ok()) << rs.status().ToString();
     EXPECT_EQ(rs->rows[0][0], Value::Int(200));  // exact despite 25% loss
   }
@@ -180,13 +181,13 @@ TEST(ChaosRetry, TotalPartitionTimesOutWithBoundedAttempts) {
   cluster.network().Partition(kCoordinatorEndpoint, 0);
   cluster.network().Partition(kCoordinatorEndpoint, 1);
   uint64_t retries_before = cluster.total_retries();
-  auto rs = cluster.DistributedScan("t", nullptr);
+  auto rs = RunPlanned(&cluster, ScanOf("t"));
   EXPECT_TRUE(rs.status().IsUnavailable());
   uint64_t attempts = cluster.total_retries() - retries_before;
   EXPECT_GT(attempts, 0u);
   EXPECT_LE(attempts, 3u);  // bounded, not infinite
   cluster.network().HealAll();
-  EXPECT_TRUE(cluster.DistributedScan("t", nullptr).ok());
+  EXPECT_TRUE(RunPlanned(&cluster, ScanOf("t")).ok());
 }
 
 TEST(ChaosRetry, QueryFailsOverWhenPrimaryIsPartitioned) {
@@ -200,10 +201,34 @@ TEST(ChaosRetry, QueryFailsOverWhenPrimaryIsPartitioned) {
   ASSERT_TRUE(info.ok());
   int primary = (*info)->placement[0][0];
   cluster.network().Partition(kCoordinatorEndpoint, primary);
-  auto rs = cluster.DistributedScan("t", nullptr);
+  auto rs = RunPlanned(&cluster, ScanOf("t"));
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->num_rows(), 10u);
   EXPECT_EQ(cluster.last_query_stats().failovers, 1u);
+}
+
+// A gather costs a few messages per fragment, not one per row: in E20's
+// setup (4 nodes, replication 2, 5% loss, 6 attempts) a full 20k-row scan
+// is served every time. Charged one message per row, a 2.5k-row partition
+// task almost never got all of its rows through, and no scan was served.
+TEST(ChaosRetry, LossyGatherOfLargeTableIsServed) {
+  SoeCluster::Options opts;
+  opts.num_nodes = 4;
+  opts.net.drop_probability = 0.05;
+  opts.net.delay_probability = 0.2;
+  opts.retry.max_attempts = 6;
+  SoeCluster cluster(opts);
+  Schema s({ColumnDef("k", DataType::kInt64), ColumnDef("v", DataType::kDouble)});
+  ASSERT_TRUE(cluster.CreateTable("t", s, PartitionSpec::Hash("k", 8), 2).ok());
+  std::vector<Row> rows;
+  for (int i = 0; i < 20000; ++i) rows.push_back({Value::Int(i), Value::Dbl(i)});
+  ASSERT_TRUE(cluster.CommitInserts("t", rows).ok());
+  for (int q = 0; q < 20; ++q) {
+    auto rs = RunPlanned(&cluster, ScanOf("t"));
+    ASSERT_TRUE(rs.ok()) << "gather " << q << ": " << rs.status().ToString();
+    EXPECT_EQ(rs->num_rows(), 20000u);
+  }
+  EXPECT_GT(cluster.network().dropped(), 0u);
 }
 
 // ---------- Targeted regressions ----------
@@ -269,7 +294,7 @@ TEST(ChaosRegression, DuplicateDeliveryIsIdempotent) {
 
   AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
   AggSpec sum{AggFunc::kSum, Expr::Column(1), "sum"};
-  auto rs = cluster.DistributedAggregate("t", nullptr, "", {cnt, sum});
+  auto rs = RunPlanned(&cluster, AggregateOf("t", {}, {cnt, sum}));
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->rows[0][0], Value::Int(100));  // not inflated
   EXPECT_DOUBLE_EQ(rs->rows[0][1].NumericValue(), 99.0 * 100 / 2);
@@ -301,7 +326,7 @@ TEST(ChaosRegression, PartitionDuringRebalanceResumesWithoutDuplicates) {
   ASSERT_TRUE(cluster.KillNode(1).ok());  // prove the rebuilt replicas serve
   AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
   AggSpec sum{AggFunc::kSum, Expr::Column(1), "sum"};
-  auto rs = cluster.DistributedAggregate("t", nullptr, "", {cnt, sum});
+  auto rs = RunPlanned(&cluster, AggregateOf("t", {}, {cnt, sum}));
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->rows[0][0], Value::Int(300));  // exact: no lost or doubled rows
   EXPECT_DOUBLE_EQ(rs->rows[0][1].NumericValue(), 299.0 * 300 / 2);
@@ -321,7 +346,7 @@ TEST(ChaosRegression, RddRecomputesLostPartitionFromLineage) {
 
   ASSERT_TRUE(cluster.KillNode(0).ok());
   AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
-  EXPECT_TRUE(cluster.DistributedAggregate("t", nullptr, "", {cnt})
+  EXPECT_TRUE(RunPlanned(&cluster, AggregateOf("t", {}, {cnt}))
                   .status()
                   .IsUnavailable());  // unreplicated: cluster API fails
 
@@ -483,10 +508,10 @@ void RunChaosOracle(uint64_t seed) {
     } else if (dice < 70) {  // distributed aggregate, compared when served
       AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
       AggSpec sum{AggFunc::kSum, Expr::Column(1), "sum"};
-      auto got = faulty.DistributedAggregate("t", nullptr, "", {cnt, sum});
+      auto got = RunPlanned(&faulty, AggregateOf("t", {}, {cnt, sum}));
       if (got.ok()) {
         ++queries_ok;
-        auto want = reference.DistributedAggregate("t", nullptr, "", {cnt, sum});
+        auto want = RunPlanned(&reference, AggregateOf("t", {}, {cnt, sum}));
         ASSERT_TRUE(want.ok());
         EXPECT_EQ(got->rows[0][0], want->rows[0][0]) << "mid-run count diverged";
         EXPECT_DOUBLE_EQ(got->rows[0][1].NumericValue(), want->rows[0][1].NumericValue())
@@ -537,9 +562,9 @@ void RunChaosOracle(uint64_t seed) {
       << "faulty committed " << faulty.log().Tail() << " records, reference "
       << reference.log().Tail();
 
-  auto got_rows = faulty.DistributedScan("t", nullptr);
+  auto got_rows = RunPlanned(&faulty, ScanOf("t"));
   ASSERT_TRUE(got_rows.ok()) << got_rows.status().ToString();
-  auto want_rows = reference.DistributedScan("t", nullptr);
+  auto want_rows = RunPlanned(&reference, ScanOf("t"));
   ASSERT_TRUE(want_rows.ok());
   SortRows(&got_rows->rows);
   SortRows(&want_rows->rows);
@@ -595,7 +620,7 @@ TEST(ChaosMetrics, RegistryAgreesWithLegacyCounters) {
   ASSERT_TRUE(cluster.CommitInserts("t", rows).ok());
   AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
   for (int q = 0; q < 5; ++q) {
-    ASSERT_TRUE(cluster.DistributedAggregate("t", nullptr, "", {cnt}).ok());
+    ASSERT_TRUE(RunPlanned(&cluster, AggregateOf("t", {}, {cnt})).ok());
   }
 
   metrics::RegistrySnapshot snap = cluster.metrics().TakeSnapshot();
@@ -640,7 +665,7 @@ TEST(ChaosMetrics, FaultScheduleEventsAreCounted) {
       {FaultEvent{0, FaultEvent::Kind::kCrashNode, 0},
        FaultEvent{0, FaultEvent::Kind::kPartition, kCoordinatorEndpoint, 1},
        FaultEvent{1, FaultEvent::Kind::kHealAll}}));
-  ASSERT_TRUE(cluster.DistributedScan("t", nullptr).ok());
+  ASSERT_TRUE(RunPlanned(&cluster, ScanOf("t")).ok());
   ASSERT_TRUE(cluster.Rebalance().ok());
   ASSERT_TRUE(cluster.RestartNode(0).ok());
 

@@ -1,9 +1,5 @@
-#include <cstring>
-#include <set>
-
 #include <gtest/gtest.h>
 
-#include "common/arena.h"
 #include "common/bitpack.h"
 #include "common/random.h"
 #include "common/serializer.h"
@@ -61,35 +57,6 @@ TEST(StatusOrTest, AssignOrReturnMacro) {
   EXPECT_TRUE(UseHalf(10, &out).ok());
   EXPECT_EQ(out, 5);
   EXPECT_FALSE(UseHalf(7, &out).ok());
-}
-
-TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
-  Arena arena(128);
-  std::set<void*> seen;
-  for (int i = 0; i < 100; ++i) {
-    void* p = arena.Allocate(24, 8);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 8, 0u);
-    EXPECT_TRUE(seen.insert(p).second);
-  }
-  EXPECT_GE(arena.BytesAllocated(), 2400u);
-}
-
-TEST(ArenaTest, CopyBytesRoundTrips) {
-  Arena arena;
-  const char* msg = "hello column store";
-  char* copy = arena.CopyBytes(msg, strlen(msg) + 1);
-  EXPECT_STREQ(copy, msg);
-}
-
-TEST(ArenaTest, ResetRecyclesMemory) {
-  Arena arena(1024);
-  arena.Allocate(100);   // first (recycled) block
-  arena.Allocate(5000);  // forces a second, large block
-  size_t reserved = arena.BytesReserved();
-  EXPECT_GT(reserved, 5000u);
-  arena.Reset();
-  EXPECT_EQ(arena.BytesAllocated(), 0u);
-  EXPECT_LT(arena.BytesReserved(), reserved);
 }
 
 TEST(RandomTest, Deterministic) {

@@ -9,7 +9,7 @@
 #include "query/optimizer.h"
 #include "query/sql_parser.h"
 #include "soe/sql_bridge.h"
-#include "storage/mvcc.h"
+#include "soe_test_util.h"
 #include "txn/transaction_manager.h"
 
 namespace poly {
@@ -359,7 +359,7 @@ TEST_F(DistributedSqlFixture, GatherOrCombinesPredicatesOfDoubleScans) {
   // An unfiltered gather of `fact` (what the old code shipped for every
   // multiply-scanned table) moves strictly more coordinator bytes.
   before = gathered_bytes->Value();
-  ASSERT_TRUE(cluster_.DistributedScan("fact", nullptr).ok());
+  ASSERT_TRUE(RunPlanned(&cluster_, ScanOf("fact")).ok());
   uint64_t unfiltered = gathered_bytes->Value() - before;
   EXPECT_LT(pushed, unfiltered) << "pushed=" << pushed
                                 << " unfiltered=" << unfiltered;
@@ -428,18 +428,15 @@ TEST(PartialAggExecutor, TwoPhaseMatchesDirectAggregate) {
   PartialAggLayout layout = PartialAggLayout::For(aggs);
   ASSERT_EQ(partial->rows[0].size(), 1 + layout.num_slots());
 
-  // Stage the partials (as ExecuteFragment would) and run phase 2.
-  std::vector<ColumnDef> defs;
+  // Bind the partials into a row leaf under positional column names (as
+  // RunFragments does for a staged input) and run phase 2.
+  auto staged = std::make_shared<ResultSet>();
   for (size_t c = 0; c < 1 + layout.num_slots(); ++c) {
-    defs.emplace_back("_c" + std::to_string(c), DataType::kInt64);
+    staged->column_names.push_back("_c" + std::to_string(c));
   }
-  ColumnTable* stage = *db.CreateTable("stage", Schema(std::move(defs)));
-  for (const Row& row : partial->rows) {
-    ASSERT_TRUE(stage->AppendVersion(row, 1).ok());
-  }
-  Executor exec2(&db, LatestCommittedView());
-  auto final_rs = exec2.Execute(
-      PlanBuilder::Scan("stage").FinalAggregate({0}, aggs).Build());
+  staged->rows = partial->rows;
+  auto final_rs = exec.Execute(
+      PlanBuilder::Rows("stage", staged).FinalAggregate({0}, aggs).Build());
   ASSERT_TRUE(final_rs.ok()) << final_rs.status().ToString();
 
   EXPECT_EQ(SortedRows(*direct), SortedRows(*final_rs));
@@ -462,15 +459,13 @@ TEST(PartialAggExecutor, GlobalAggregateOverEmptyInputFinalizesToNulls) {
   ASSERT_EQ(partial->num_rows(), 1u);  // global aggregate: one row, even empty
 
   PartialAggLayout layout = PartialAggLayout::For(aggs);
-  std::vector<ColumnDef> defs;
+  auto staged = std::make_shared<ResultSet>();
   for (size_t c = 0; c < layout.num_slots(); ++c) {
-    defs.emplace_back("_c" + std::to_string(c), DataType::kInt64);
+    staged->column_names.push_back("_c" + std::to_string(c));
   }
-  ColumnTable* stage = *db.CreateTable("stage", Schema(std::move(defs)));
-  for (const Row& row : partial->rows) ASSERT_TRUE(stage->AppendVersion(row, 1).ok());
-  Executor exec2(&db, LatestCommittedView());
-  auto final_rs = exec2.Execute(
-      PlanBuilder::Scan("stage").FinalAggregate({}, aggs).Build());
+  staged->rows = partial->rows;
+  auto final_rs = exec.Execute(
+      PlanBuilder::Rows("stage", staged).FinalAggregate({}, aggs).Build());
   ASSERT_TRUE(final_rs.ok()) << final_rs.status().ToString();
   ASSERT_EQ(final_rs->num_rows(), 1u);
   EXPECT_TRUE(final_rs->rows[0][0].is_null());      // SUM of nothing

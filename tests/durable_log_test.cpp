@@ -9,6 +9,7 @@
 #include "soe/cluster.h"
 #include "soe/partition.h"
 #include "soe/shared_log.h"
+#include "soe_test_util.h"
 
 namespace poly {
 namespace {
@@ -169,7 +170,7 @@ TEST(ChaosDurableLog, FreshClusterRecoversCommittedWrites) {
   EXPECT_EQ(cluster.log().Tail(), committed_tail);
   ASSERT_TRUE(cluster.CreateTable("orders", schema, spec, /*replication=*/2).ok());
 
-  auto rows = cluster.DistributedScan("orders", nullptr);
+  auto rows = RunPlanned(&cluster, ScanOf("orders"));
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->rows.size(), 50u);
   int64_t sum = 0;
@@ -180,7 +181,7 @@ TEST(ChaosDurableLog, FreshClusterRecoversCommittedWrites) {
   // recovered tail and are immediately visible.
   ASSERT_TRUE(cluster.Insert("orders", {Value::Int(100), Value::Int(7)}).ok());
   EXPECT_EQ(cluster.log().Tail(), committed_tail + 1);
-  auto again = cluster.DistributedScan("orders", nullptr);
+  auto again = RunPlanned(&cluster, ScanOf("orders"));
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->rows.size(), 51u);
 }

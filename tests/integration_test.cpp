@@ -19,6 +19,7 @@
 #include "query/executor.h"
 #include "query/optimizer.h"
 #include "soe/cluster.h"
+#include "soe_test_util.h"
 
 namespace poly {
 namespace {
@@ -173,14 +174,14 @@ TEST(Integration, DfsToSoeDistributedQuery) {
 
   AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
   AggSpec sum{AggFunc::kSum, Expr::Column(1), "sum"};
-  auto rs = cluster.DistributedAggregate("readings", nullptr, "", {cnt, sum});
+  auto rs = RunPlanned(&cluster, AggregateOf("readings", {}, {cnt, sum}));
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->rows[0][0], Value::Int(400));
   EXPECT_DOUBLE_EQ(rs->rows[0][1].NumericValue(), 399.0 * 400 / 2);
 
   // Node failure mid-flight: replicated table still answers.
   ASSERT_TRUE(cluster.KillNode(1).ok());
-  auto rs2 = cluster.DistributedAggregate("readings", nullptr, "", {cnt});
+  auto rs2 = RunPlanned(&cluster, AggregateOf("readings", {}, {cnt}));
   ASSERT_TRUE(rs2.ok());
   EXPECT_EQ(rs2->rows[0][0], Value::Int(400));
 }

@@ -51,6 +51,18 @@ TEST_F(RddFixture, WherePushedIntoScan) {
   EXPECT_EQ(*count, 30u);
 }
 
+TEST_F(RddFixture, WhereOnPartitionColumnRunsOnePartition) {
+  auto rows = SoeRdd::FromTable(&cluster_, "readings")
+                  .Where(Expr::Compare(CmpOp::kEq, Expr::Column(0),
+                                       Expr::Literal(Value::Int(3))))
+                  .Collect();
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 10u);
+  // The pushed equality pins the planned scan to sensor 3's partition.
+  EXPECT_EQ(cluster_.last_query_stats().partitions, 1u);
+  EXPECT_EQ(cluster_.last_query_stats().fragments, 1u);
+}
+
 TEST_F(RddFixture, FrameworkSideMapFilter) {
   auto rdd = SoeRdd::FromTable(&cluster_, "readings")
                  .Map([](const Row& r) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "soe/cluster.h"
+#include "soe_test_util.h"
 
 namespace poly {
 namespace {
@@ -163,12 +164,12 @@ TEST_F(SoeFixture, InsertRoutesToPartitions) {
   EXPECT_EQ(total, 200u);
 }
 
-TEST_F(SoeFixture, DistributedAggregateMatchesGroundTruth) {
+TEST_F(SoeFixture, PlannedAggregateMatchesGroundTruth) {
   LoadSensors(500);
   AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
   AggSpec sum{AggFunc::kSum, Expr::Column(1), "sum"};
   AggSpec avg{AggFunc::kAvg, Expr::Column(1), "avg"};
-  auto rs = cluster_.DistributedAggregate("readings", nullptr, "", {cnt, sum, avg});
+  auto rs = RunPlanned(&cluster_, AggregateOf("readings", {}, {cnt, sum, avg}));
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   ASSERT_EQ(rs->num_rows(), 1u);
   EXPECT_EQ(rs->rows[0][0], Value::Int(500));
@@ -178,20 +179,20 @@ TEST_F(SoeFixture, DistributedAggregateMatchesGroundTruth) {
   EXPECT_EQ(cluster_.last_query_stats().partitions, 8u);
 }
 
-TEST_F(SoeFixture, DistributedAggregateWithPredicateAndGroups) {
+TEST_F(SoeFixture, PlannedAggregateWithPredicateAndGroups) {
   LoadSensors(500);
   auto predicate =
       Expr::Compare(CmpOp::kLt, Expr::Column(0), Expr::Literal(Value::Int(10)));
   AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
-  auto rs = cluster_.DistributedAggregate("readings", predicate, "sensor", {cnt});
+  auto rs = RunPlanned(&cluster_, AggregateOf("readings", {0}, {cnt}, predicate));
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->num_rows(), 10u);  // sensors 0..9
   for (const auto& row : rs->rows) EXPECT_EQ(row[1], Value::Int(10));  // 500/50
 }
 
-TEST_F(SoeFixture, DistributedScanGathersEverything) {
+TEST_F(SoeFixture, PlannedScanGathersEverything) {
   LoadSensors(100);
-  auto rs = cluster_.DistributedScan("readings", nullptr);
+  auto rs = RunPlanned(&cluster_, ScanOf("readings"));
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->num_rows(), 100u);
   EXPECT_GT(cluster_.last_query_stats().result_bytes_gathered, 0u);
@@ -202,7 +203,7 @@ TEST_F(SoeFixture, ReplicatedTableSurvivesNodeFailure) {
   LoadSensors(300, /*replication=*/2);
   AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
   ASSERT_TRUE(cluster_.KillNode(0).ok());
-  auto rs = cluster_.DistributedAggregate("readings", nullptr, "", {cnt});
+  auto rs = RunPlanned(&cluster_, AggregateOf("readings", {}, {cnt}));
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->rows[0][0], Value::Int(300));
 }
@@ -211,7 +212,7 @@ TEST_F(SoeFixture, UnreplicatedTableUnavailableAfterFailure) {
   LoadSensors(300, /*replication=*/1);
   ASSERT_TRUE(cluster_.KillNode(0).ok());
   AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
-  auto rs = cluster_.DistributedAggregate("readings", nullptr, "", {cnt});
+  auto rs = RunPlanned(&cluster_, AggregateOf("readings", {}, {cnt}));
   EXPECT_TRUE(rs.status().IsUnavailable());
 }
 
@@ -222,7 +223,7 @@ TEST_F(SoeFixture, RebalanceRestoresReplication) {
   // Now even killing another node keeps all partitions answerable.
   ASSERT_TRUE(cluster_.KillNode(1).ok());
   AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
-  auto rs = cluster_.DistributedAggregate("readings", nullptr, "", {cnt});
+  auto rs = RunPlanned(&cluster_, AggregateOf("readings", {}, {cnt}));
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->rows[0][0], Value::Int(300));
 }
@@ -271,7 +272,7 @@ TEST_F(SoeFixture, RebalancePreservesPartitionInvariants) {
   // (c) nothing lost, nothing doubled.
   EXPECT_EQ(post_total, pre_total);
   AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
-  auto rs = cluster_.DistributedAggregate("readings", nullptr, "", {cnt});
+  auto rs = RunPlanned(&cluster_, AggregateOf("readings", {}, {cnt}));
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->rows[0][0], Value::Int(400));
 }
@@ -291,7 +292,7 @@ TEST_F(SoeFixture, OlapNodesLagUntilPolled) {
 
   // Stale reads: counts are 0 because nothing is applied yet.
   AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
-  auto stale = cluster_.DistributedAggregate("readings", nullptr, "", {cnt});
+  auto stale = RunPlanned(&cluster_, AggregateOf("readings", {}, {cnt}));
   ASSERT_TRUE(stale.ok());
   EXPECT_EQ(stale->rows[0][0], Value::Int(0));
   EXPECT_GT(cluster_.Staleness(0), 0u);
@@ -301,7 +302,7 @@ TEST_F(SoeFixture, OlapNodesLagUntilPolled) {
     ASSERT_TRUE(cluster_.PollNode(n).ok());
     EXPECT_EQ(cluster_.Staleness(n), 0u);
   }
-  auto fresh = cluster_.DistributedAggregate("readings", nullptr, "", {cnt});
+  auto fresh = RunPlanned(&cluster_, AggregateOf("readings", {}, {cnt}));
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(fresh->rows[0][0], Value::Int(50));
 }
@@ -309,7 +310,7 @@ TEST_F(SoeFixture, OlapNodesLagUntilPolled) {
 TEST_F(SoeFixture, OltpNodesReadTheirWrites) {
   LoadSensors(10);  // default mode is OLTP
   AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
-  auto rs = cluster_.DistributedAggregate("readings", nullptr, "", {cnt});
+  auto rs = RunPlanned(&cluster_, AggregateOf("readings", {}, {cnt}));
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->rows[0][0], Value::Int(10));  // immediately visible
 }

@@ -54,7 +54,7 @@ TEST_F(SqlBridgeFixture, GroupByWithWhereOrderLimit) {
   EXPECT_DOUBLE_EQ(rs->rows[1][1].NumericValue(), per_site[1]);
 }
 
-TEST_F(SqlBridgeFixture, DistributedScanThroughSql) {
+TEST_F(SqlBridgeFixture, PartitionedScanThroughSql) {
   auto rs = bridge_.Execute("SELECT * FROM readings WHERE sensor = 7");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->num_rows(), 10u);

@@ -15,6 +15,7 @@
 #include "query/executor.h"
 #include "query/optimizer.h"
 #include "soe/sql_bridge.h"
+#include "soe_test_util.h"
 #include "txn/transaction_manager.h"
 
 namespace poly {
@@ -273,16 +274,16 @@ class SoeTraceTest : public ::testing::Test {
   SoeSqlBridge bridge_;
 };
 
-TEST_F(SoeTraceTest, DistributedScanSpansOnePerPartitionTask) {
+TEST_F(SoeTraceTest, ScanQuerySpansOnePerPartitionFragment) {
   cluster_.set_trace(true);
-  auto rs = cluster_.DistributedScan("readings", nullptr);
+  auto rs = RunPlanned(&cluster_, ScanOf("readings"));
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   ASSERT_NE(rs->trace, nullptr);
   EXPECT_EQ(rs->trace, cluster_.last_trace());
 
   const OperatorSpan& root = *rs->trace;
-  EXPECT_EQ(root.label, "DistributedScan(readings)");
-  // One child task span per partition, nested under the coordinator span.
+  EXPECT_EQ(root.label, "DistributedQuery(scan)");
+  // One child span per partition fragment, nested under the coordinator span.
   ASSERT_EQ(root.children.size(), kPartitions);
   CheckRowFlow(root);  // root.rows_in == sum of task rows_out
   EXPECT_EQ(root.rows_in, static_cast<uint64_t>(kRows));
@@ -291,36 +292,50 @@ TEST_F(SoeTraceTest, DistributedScanSpansOnePerPartitionTask) {
   EXPECT_GT(root.wall_nanos, 0u);  // virtual network time, deterministic
 
   for (const OperatorSpan& task : root.children) {
-    EXPECT_EQ(task.label.rfind("PartitionTask(readings#p", 0), 0u) << task.label;
+    EXPECT_EQ(task.label.rfind("Fragment(scan(readings):readings#p", 0), 0u) << task.label;
     EXPECT_NE(task.label.find("@node"), std::string::npos) << task.label;
     EXPECT_GT(task.bytes_out, 0u);
     EXPECT_GT(task.wall_nanos, 0u);
   }
 }
 
-TEST_F(SoeTraceTest, DistributedAggregateSpansAndOffByDefault) {
+TEST_F(SoeTraceTest, TwoPhaseAggregateSpansAndOffByDefault) {
   // Off by default: no span tree is built or attached.
-  auto untraced = cluster_.DistributedAggregate(
-      "readings", nullptr, "", {{AggFunc::kCount, nullptr, "n"}});
+  auto untraced =
+      RunPlanned(&cluster_, AggregateOf("readings", {}, {{AggFunc::kCount, nullptr, "n"}}));
   ASSERT_TRUE(untraced.ok());
   EXPECT_EQ(untraced->trace, nullptr);
   EXPECT_EQ(cluster_.last_trace(), nullptr);
 
   cluster_.set_trace(true);
-  auto rs = cluster_.DistributedAggregate(
-      "readings", nullptr, "site",
-      {{AggFunc::kSum, Expr::Column(2), "total"}});
+  auto rs = RunPlanned(&cluster_,
+                       AggregateOf("readings", {1}, {{AggFunc::kSum, Expr::Column(2), "total"}}));
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   ASSERT_NE(rs->trace, nullptr);
 
   const OperatorSpan& root = *rs->trace;
-  EXPECT_EQ(root.label, "DistributedAggregate(readings)");
-  ASSERT_EQ(root.children.size(), kPartitions);
+  EXPECT_EQ(root.label, "DistributedQuery(two-phase-aggregate)");
+  // One partial fragment per partition, then one final task per live node.
+  const size_t live = static_cast<size_t>(cluster_.num_nodes());
+  ASSERT_EQ(root.children.size(), kPartitions + live);
   CheckRowFlow(root);
-  // Partial aggregation: each task returns at most 3 site groups; the merged
-  // result has exactly 3.
-  EXPECT_LE(root.rows_in, kPartitions * 3);
+  size_t partials = 0;
+  uint64_t final_rows = 0;
+  for (const OperatorSpan& task : root.children) {
+    if (task.label.rfind("Fragment(partial-aggregate(readings):readings#p", 0) == 0) {
+      ++partials;
+    } else {
+      EXPECT_EQ(task.label.rfind("Fragment(final-aggregate:t", 0), 0u) << task.label;
+      final_rows += task.rows_out;
+    }
+  }
+  EXPECT_EQ(partials, kPartitions);
+  // Partial aggregation: each partition returns at most 3 site groups; the
+  // final tasks merge them into exactly 3, which are all that is gathered.
+  EXPECT_LE(root.rows_in - final_rows, kPartitions * 3);
+  EXPECT_EQ(final_rows, 3u);
   EXPECT_EQ(root.rows_out, 3u);
+  EXPECT_EQ(root.bytes_out, cluster_.last_query_stats().result_bytes_gathered);
 }
 
 TEST_F(SoeTraceTest, BridgeCarriesTraceThroughResidualOperators) {

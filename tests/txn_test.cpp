@@ -48,6 +48,33 @@ TEST(TxnTest, AbortHidesRowsForever) {
   EXPECT_EQ(t->num_versions(), 1u);  // version slot exists but is dead
 }
 
+// Durable before visible: a commit whose record cannot be appended or
+// synced reports the error and aborts, so no reader ever sees its rows.
+void ExpectFailedCommitInvisible(const char* failing_op) {
+  SCOPED_TRACE(failing_op);
+  Database db;
+  RedoLog log;
+  TransactionManager tm(&log);
+  ColumnTable* t = *db.CreateTable("orders", OrderSchema());
+  auto txn = tm.Begin();
+  ASSERT_TRUE(tm.Insert(txn.get(), t, {Value::Int(1), Value::Dbl(1.0)}).ok());
+  log.SetFaultInjector([&](const char* op) -> Status {
+    if (std::string(op) == failing_op) return Status::IOError("injected failure");
+    return Status::OK();
+  });
+  EXPECT_EQ(tm.Commit(txn.get()).code(), StatusCode::kIOError);
+  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 0u);
+  EXPECT_EQ(tm.Commit(txn.get()).code(), StatusCode::kInvalidArgument);  // aborted
+}
+
+TEST(TxnTest, FailedCommitAppendLeavesNothingVisible) {
+  ExpectFailedCommitInvisible("append");
+}
+
+TEST(TxnTest, FailedCommitSyncLeavesNothingVisible) {
+  ExpectFailedCommitInvisible("sync");
+}
+
 TEST(TxnTest, SnapshotIsolationReadersDontSeeLaterCommits) {
   Database db;
   TransactionManager tm;
