@@ -22,7 +22,9 @@
 #                  counts that must repeat across two traced runs; the only
 #                  check on perfbench's traced copies of Database::Execute
 #                  and SoeSqlBridge::Execute
-#   7. tsan        whole-suite ThreadSanitizer build + run
+#   7. asan        whole-suite AddressSanitizer+UBSan build + run
+#                  (POLY_SANITIZE=address; ctest -L tsan-full in build-asan)
+#   8. tsan        whole-suite ThreadSanitizer build + run
 #                  (scripts/run_tsan.sh; ctest -L tsan-full in build-tsan)
 #
 # Usage:
@@ -38,7 +40,7 @@ set -u
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build}"
 CHAOS_SEEDS="${CHAOS_SEEDS:-50}"
-GATES="${*:-docs tiering resource soe-sql chaos perfbench tsan}"
+GATES="${*:-docs tiering resource soe-sql chaos perfbench asan tsan}"
 
 if [[ ! -d "$BUILD_DIR" ]]; then
   echo "run_gates.sh: no build tree at $BUILD_DIR" >&2
@@ -56,6 +58,15 @@ run_gate() {
     echo "run_gates.sh: gate '$name' FAILED" >&2
     exit 1
   fi
+}
+
+# The whole suite under ASan+UBSan. Any report fails the run: ASan aborts
+# on its first error, and the build makes UBSan reports fatal.
+run_asan() {
+  local dir="${REPO_ROOT}/build-asan"
+  cmake -B "$dir" -S "$REPO_ROOT" -DPOLY_SANITIZE=address &&
+    cmake --build "$dir" -j"$(nproc)" --target poly_tests &&
+    ctest --test-dir "$dir" -L tsan-full --output-on-failure
 }
 
 for gate in $GATES; do
@@ -78,11 +89,14 @@ for gate in $GATES; do
     perfbench)
       run_gate perfbench python3 "$REPO_ROOT/perfbench/selftest.py"
       ;;
+    asan)
+      run_gate asan run_asan
+      ;;
     tsan)
       run_gate tsan "$REPO_ROOT/scripts/run_tsan.sh"
       ;;
     *)
-      echo "run_gates.sh: unknown gate '$gate' (know: docs tiering resource soe-sql chaos perfbench tsan)" >&2
+      echo "run_gates.sh: unknown gate '$gate' (know: docs tiering resource soe-sql chaos perfbench asan tsan)" >&2
       exit 2
       ;;
   esac

@@ -54,33 +54,6 @@ StatusOr<ColumnTable*> ExtendedStorage::Promote(Database* db, const std::string&
   return ptr;
 }
 
-Status ExtendedStorage::DemoteToCold(const std::string& table, SimulatedDfs* dfs) {
-  std::string payload;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = store_.find(table);
-    if (it == store_.end()) {
-      return Status::NotFound("no warm table '" + table + "'");
-    }
-    payload = std::move(it->second);
-    store_.erase(it);
-  }
-  CountTierMove("tier.cold.demotes", "tier.cold.demote_bytes", payload.size());
-  return dfs->Write(ColdPath(table), payload);
-}
-
-StatusOr<ColumnTable*> ExtendedStorage::PromoteFromCold(Database* db,
-                                                        const std::string& table,
-                                                        SimulatedDfs* dfs) {
-  POLY_ASSIGN_OR_RETURN(std::string payload, dfs->Read(ColdPath(table)));
-  CountTierMove("tier.cold.promotes", "tier.cold.promote_bytes", payload.size());
-  Deserializer d(payload);
-  POLY_ASSIGN_OR_RETURN(auto loaded, ColumnTable::LoadFrom(&d));
-  ColumnTable* ptr = loaded.get();
-  POLY_RETURN_IF_ERROR(db->AdoptTable(std::move(loaded)));
-  return ptr;
-}
-
 StatusOr<std::string> ExtendedStorage::TakePayload(const std::string& table) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = store_.find(table);

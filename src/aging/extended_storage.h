@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "hadoop/dfs.h"
 #include "storage/database.h"
 
 namespace poly {
@@ -33,14 +32,6 @@ class ExtendedStorage {
   /// cold while the partition is hot). On failure the payload is restored.
   StatusOr<ColumnTable*> Promote(Database* db, const std::string& table);
 
-  /// Moves a warm table onward to the cold tier (DFS, Figure 1/4: "HDFS is
-  /// used as an aging store for HANA").
-  Status DemoteToCold(const std::string& table, SimulatedDfs* dfs);
-
-  /// Loads a table from the cold tier back into `db`.
-  StatusOr<ColumnTable*> PromoteFromCold(Database* db, const std::string& table,
-                                         SimulatedDfs* dfs);
-
   bool Contains(const std::string& table) const;
   Status Drop(const std::string& table);
 
@@ -61,10 +52,6 @@ class ExtendedStorage {
   /// Accrued simulated access cost (ns) and volume.
   double simulated_nanos() const { return simulated_nanos_; }
   uint64_t bytes_stored() const;
-
-  static std::string ColdPath(const std::string& table) {
-    return "/cold/" + table + ".tbl";
-  }
 
   const Options& options() const { return options_; }
 

@@ -10,9 +10,7 @@ namespace poly {
 namespace {
 
 /// Tier-movement counters in the default registry (DESIGN.md §10:
-/// `tier.<temperature>.<direction>` plus byte volumes). Same names the
-/// ExtendedStorage cold hops use, so dashboards see one cold boundary no
-/// matter which component crossed it.
+/// `tier.<temperature>.<direction>` plus byte volumes).
 void CountTierMove(const char* counter_name, const char* bytes_name,
                    uint64_t bytes) {
   metrics::Registry& reg = metrics::Default();
@@ -25,7 +23,7 @@ void CountTierMove(const char* counter_name, const char* bytes_name,
 Status DfsTierStore::Sink(ExtendedStorage* warm, const std::string& table) {
   POLY_ASSIGN_OR_RETURN(std::string payload, warm->TakePayload(table));
   uint64_t bytes = payload.size();
-  Status s = dfs_->Write(ExtendedStorage::ColdPath(table), payload);
+  Status s = dfs_->Write(ColdPath(table), payload);
   if (!s.ok()) {
     // Put the payload back: a failed sink must not lose the only copy.
     (void)warm->AdoptPayload(table, std::move(payload));
@@ -44,7 +42,7 @@ Status DfsTierStore::Raise(ExtendedStorage* warm, const std::string& table) {
       return Status::NotFound("no cold table '" + table + "'");
     }
   }
-  std::string path = ExtendedStorage::ColdPath(table);
+  std::string path = ColdPath(table);
   POLY_ASSIGN_OR_RETURN(std::string payload, dfs_->Read(path));
   uint64_t bytes = payload.size();
   POLY_RETURN_IF_ERROR(warm->AdoptPayload(table, std::move(payload)));
@@ -62,7 +60,7 @@ StatusOr<ColumnTable*> DfsTierStore::PageIn(Database* db, const std::string& tab
       return Status::NotFound("no cold table '" + table + "'");
     }
   }
-  std::string path = ExtendedStorage::ColdPath(table);
+  std::string path = ColdPath(table);
   POLY_ASSIGN_OR_RETURN(std::string payload, dfs_->Read(path));
   Deserializer d(payload);
   POLY_ASSIGN_OR_RETURN(auto loaded, ColumnTable::LoadFrom(&d));

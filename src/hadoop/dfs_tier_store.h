@@ -73,6 +73,11 @@ class DfsTierStore {
 
   SimulatedDfs* dfs() const { return dfs_; }
 
+  /// DFS file that holds a cold table's payload.
+  static std::string ColdPath(const std::string& table) {
+    return "/cold/" + table + ".tbl";
+  }
+
  private:
   SimulatedDfs* dfs_;
   mutable std::mutex mu_;

@@ -57,9 +57,10 @@ class SoeCluster {
     int num_nodes = 4;
     int log_units = 3;
     int log_replication = 2;
-    /// Passed through to SharedLog::Options::durable_dir: non-empty makes
-    /// every log-unit write fsync to `<dir>/unit<k>.log`, and a fresh
-    /// cluster pointed at the same directory recovers the log on startup.
+    /// Passed through to SharedLog::Options::durable_dir: non-empty keeps
+    /// each log unit in a RedoLog at `<dir>/unit<k>.log`, synced before a
+    /// replica write counts, and a fresh cluster pointed at the same
+    /// directory recovers the log on startup.
     std::string log_durable_dir;
     NodeMode default_mode = NodeMode::kOltp;
     SimulatedNetwork::Options net;

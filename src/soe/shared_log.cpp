@@ -1,9 +1,10 @@
 #include "soe/shared_log.h"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
+#include <cstring>
+#include <filesystem>
+
+#include "txn/redo_log.h"
 
 namespace poly {
 
@@ -19,56 +20,51 @@ SharedLog::SharedLog(Options options, SimulatedNetwork* net)
   if (!options_.durable_dir.empty()) LoadDurable();
 }
 
-SharedLog::~SharedLog() {
-  for (std::FILE* f : unit_files_) {
-    if (f != nullptr) std::fclose(f);
-  }
-}
+SharedLog::~SharedLog() = default;
 
 void SharedLog::LoadDurable() {
-  ::mkdir(options_.durable_dir.c_str(), 0755);  // EEXIST is fine
-  unit_files_.assign(units_.size(), nullptr);
+  std::error_code ec;
+  std::filesystem::create_directories(options_.durable_dir, ec);  // a failure shows at open
+  unit_logs_.resize(units_.size());
   uint64_t max_tail = 0;
   for (size_t unit = 0; unit < units_.size(); ++unit) {
-    std::string path =
-        options_.durable_dir + "/unit" + std::to_string(unit) + ".log";
-    if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-      // Frame: [u64 offset][u64 len][len payload bytes]. A short read means
-      // the process died mid-frame; everything before it is intact.
-      uint64_t valid_bytes = 0;  // length of the complete-frame prefix
-      for (;;) {
-        uint64_t header[2];
-        if (std::fread(header, sizeof(uint64_t), 2, f) != 2) break;
-        std::string payload(header[1], '\0');
-        if (header[1] > 0 &&
-            std::fread(payload.data(), 1, payload.size(), f) != payload.size()) {
-          break;  // truncated tail frame: discard
-        }
-        units_[unit][header[0]] = std::move(payload);
-        max_tail = std::max(max_tail, header[0] + 1);
-        valid_bytes += 2 * sizeof(uint64_t) + header[1];
-      }
-      std::fclose(f);
-      // Chop the torn frame off before reopening for append. Appending
-      // after the garbage bytes would make every later frame unreachable
-      // to the next recovery's reader — fsynced records silently lost on
-      // the second crash.
-      ::truncate(path.c_str(), static_cast<off_t>(valid_bytes));
+    auto log = RedoLog::OpenFile(options_.durable_dir + "/unit" + std::to_string(unit) +
+                                 ".log");
+    std::map<uint64_t, std::string> records;
+    Status read = log.status();
+    if (read.ok()) {
+      read = (*log)->ForEach([&](const std::string& rec) {
+        uint64_t offset = 0;
+        if (rec.size() < sizeof(offset)) return Status::Corruption("short log unit record");
+        std::memcpy(&offset, rec.data(), sizeof(offset));
+        records[offset] = rec.substr(sizeof(offset));
+        return Status::OK();
+      });
     }
-    unit_files_[unit] = std::fopen(path.c_str(), "ab");
+    if (!read.ok()) {
+      unit_alive_[unit] = false;  // starts down; its replicas are elsewhere
+      continue;
+    }
+    if (!records.empty()) max_tail = std::max(max_tail, records.rbegin()->first + 1);
+    units_[unit] = std::move(records);
+    unit_logs_[unit] = std::move(*log);
   }
   sequencer_.store(max_tail, std::memory_order_release);
 }
 
-void SharedLog::PersistRecord(int unit, uint64_t offset, const std::string& record) {
-  if (unit_files_.empty()) return;
-  std::FILE* f = unit_files_[unit];
-  if (f == nullptr) return;
-  uint64_t header[2] = {offset, record.size()};
-  std::fwrite(header, sizeof(uint64_t), 2, f);
-  std::fwrite(record.data(), 1, record.size(), f);
-  std::fflush(f);
-  ::fsync(fileno(f));
+bool SharedLog::WriteReplica(int unit, uint64_t offset, const std::string& record) {
+  if (!unit_logs_.empty()) {
+    RedoLog* log = unit_logs_[unit].get();
+    if (log == nullptr) return false;
+    std::string framed(sizeof(offset), '\0');
+    std::memcpy(framed.data(), &offset, sizeof(offset));
+    framed += record;
+    if (!log->Append(std::move(framed)).ok() || !log->Sync().ok()) return false;
+  }
+  // Keyed by offset: a duplicated delivery overwrites with the same
+  // payload — chunk writes are idempotent by construction.
+  units_[unit][offset] = record;
+  return true;
 }
 
 void SharedLog::set_metrics(metrics::Registry* registry) {
@@ -105,11 +101,7 @@ StatusOr<uint64_t> SharedLog::Append(std::string record, int writer) {
       Status sent = net_->Send(writer, LogUnitEndpoint(unit), record.size() + 16);
       if (!sent.ok()) continue;  // this replica missed the write
     }
-    // Keyed by offset: a duplicated delivery overwrites with the same
-    // payload — chunk writes are idempotent by construction.
-    units_[unit][offset] = record;
-    PersistRecord(unit, offset, record);
-    ++written;
+    if (WriteReplica(unit, offset, record)) ++written;
   }
   if (written == 0) {
     if (metrics_.append_failures != nullptr) metrics_.append_failures->Add(1);
@@ -227,8 +219,7 @@ Status SharedLog::ReReplicate() {
                                  LogUnitEndpoint(static_cast<int>(u)), copy->size() + 16);
         if (!sent.ok()) continue;
       }
-      units_[u][off] = *copy;
-      PersistRecord(static_cast<int>(u), off, *copy);
+      if (!WriteReplica(static_cast<int>(u), off, *copy)) continue;
       ++holders;
       if (metrics_.rereplicated_records != nullptr) {
         metrics_.rereplicated_records->Add(1);

@@ -2,8 +2,8 @@
 #define POLY_SOE_SHARED_LOG_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -12,6 +12,8 @@
 #include "soe/network.h"
 
 namespace poly {
+
+class RedoLog;
 
 /// CORFU-style distributed shared log (§IV-B, [15]): a sequencer hands out
 /// globally ordered offsets; each offset maps deterministically to a
@@ -29,13 +31,14 @@ class SharedLog {
   struct Options {
     int num_log_units = 3;
     int replication = 2;
-    /// When non-empty, every replica write is mirrored to
-    /// `<durable_dir>/unit<k>.log` with fsync before the append returns,
-    /// and construction replays whatever those files already hold (the
-    /// sequencer resumes past the highest recovered offset). A truncated
-    /// tail frame — a crash mid-write — is tolerated and discarded. This is
-    /// the scale-out sibling of RedoLog::OpenFile: it lets a *fresh*
-    /// cluster recover the shared log across a process "crash".
+    /// When non-empty, log unit k keeps a RedoLog at
+    /// `<durable_dir>/unit<k>.log` whose records are `[u64 offset][record]`.
+    /// A replica write counts only once that RedoLog's Append and Sync both
+    /// returned OK, and construction replays whatever the files already
+    /// hold (the sequencer resumes past the highest recovered offset), so a
+    /// *fresh* cluster recovers the shared log across a process "crash".
+    /// RedoLog's frame rules apply: a torn tail is cut, and a unit whose
+    /// file cannot be opened or read starts down.
     std::string durable_dir;
   };
 
@@ -85,12 +88,12 @@ class SharedLog {
   /// Deterministic replica set of an offset (round-robin chains).
   std::vector<int> ReplicasOf(uint64_t offset) const;
 
-  /// Replays `<durable_dir>/unit<k>.log` files into memory and reopens them
-  /// for appending. Called once from the constructor.
+  /// Opens every unit's RedoLog and replays it into memory. Called once
+  /// from the constructor.
   void LoadDurable();
-  /// Mirrors one replica write to its unit file (fwrite + fflush + fsync).
-  /// No-op for memory-only logs. Caller holds mu_.
-  void PersistRecord(int unit, uint64_t offset, const std::string& record);
+  /// Stores one replica of `record` on `unit`, first in the unit's RedoLog
+  /// when the log is durable; false if that write failed. Caller holds mu_.
+  bool WriteReplica(int unit, uint64_t offset, const std::string& record);
 
   /// Cached registry metric pointers (all null when no registry attached).
   struct LogMetrics {
@@ -109,7 +112,8 @@ class SharedLog {
   std::atomic<uint64_t> sequencer_{0};  ///< published tail; advanced under mu_
   std::vector<std::map<uint64_t, std::string>> units_;  ///< unit -> offset -> record
   std::vector<bool> unit_alive_;
-  std::vector<std::FILE*> unit_files_;  ///< per-unit append handles; empty = memory-only
+  /// Per-unit durable logs (null: the unit's file failed); empty = memory-only.
+  std::vector<std::unique_ptr<RedoLog>> unit_logs_;
 };
 
 }  // namespace poly

@@ -1,5 +1,7 @@
 #include "storage/backup.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 
 #include "common/serializer.h"
@@ -41,9 +43,16 @@ Status BackupDatabaseToFile(const Database& db, const std::string& path) {
   std::string snapshot = SerializeDatabase(db);
   FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return Status::IOError("cannot open " + path + " for backup");
-  size_t written = std::fwrite(snapshot.data(), 1, snapshot.size(), f);
-  std::fclose(f);
-  if (written != snapshot.size()) return Status::IOError("short write to " + path);
+  // A full disk may show only when the buffer is flushed, synced or closed,
+  // so every step is checked. The target is never removed: it may be a
+  // device.
+  bool written = std::fwrite(snapshot.data(), 1, snapshot.size(), f) == snapshot.size();
+  bool flushed = std::fflush(f) == 0;
+  bool synced = ::fsync(fileno(f)) == 0;
+  bool closed = std::fclose(f) == 0;
+  if (!written || !flushed || !synced || !closed) {
+    return Status::IOError("cannot write backup to " + path);
+  }
   return Status::OK();
 }
 

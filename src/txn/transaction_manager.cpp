@@ -5,6 +5,52 @@
 
 namespace poly {
 
+namespace {
+
+std::string EncodeInsert(uint64_t txn_id, const std::string& table, const Row& values) {
+  Serializer s;
+  s.PutU8(static_cast<uint8_t>(RedoKind::kInsert));
+  s.PutU64(txn_id);
+  s.PutString(table);
+  s.PutVarint(values.size());
+  for (const auto& v : values) WriteValue(&s, v);
+  return s.Release();
+}
+
+std::string EncodeDelete(uint64_t txn_id, const std::string& table, uint64_t row) {
+  Serializer s;
+  s.PutU8(static_cast<uint8_t>(RedoKind::kDelete));
+  s.PutU64(txn_id);
+  s.PutString(table);
+  s.PutU64(row);
+  return s.Release();
+}
+
+std::string EncodeCommit(uint64_t txn_id, uint64_t commit_ts) {
+  Serializer s;
+  s.PutU8(static_cast<uint8_t>(RedoKind::kCommit));
+  s.PutU64(txn_id);
+  s.PutU64(commit_ts);
+  return s.Release();
+}
+
+std::string EncodeCreateTable(const std::string& name, const Schema& schema) {
+  Serializer s;
+  s.PutU8(static_cast<uint8_t>(RedoKind::kCreateTable));
+  s.PutString(name);
+  s.PutVarint(schema.num_columns());
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    const ColumnDef& def = schema.column(c);
+    s.PutString(def.name);
+    s.PutU8(static_cast<uint8_t>(def.type));
+    s.PutU8(def.nullable ? 1 : 0);
+    s.PutU8(def.generated_key_order ? 1 : 0);
+  }
+  return s.Release();
+}
+
+}  // namespace
+
 std::unique_ptr<Transaction> TransactionManager::Begin() {
   auto txn = std::make_unique<Transaction>();
   txn->id_ = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
@@ -16,9 +62,11 @@ std::unique_ptr<Transaction> TransactionManager::Begin() {
   return txn;
 }
 
-Status TransactionManager::AppendLog(std::string record) {
+Status TransactionManager::LogWrite(std::string record) {
+  POLY_RETURN_IF_ERROR(unlogged_);
   if (log_ == nullptr) return Status::OK();
-  return log_->Append(std::move(record));
+  unlogged_ = log_->Append(std::move(record));
+  return unlogged_;
 }
 
 Status TransactionManager::Insert(Transaction* txn, ColumnTable* table,
@@ -28,7 +76,7 @@ Status TransactionManager::Insert(Transaction* txn, ColumnTable* table,
   POLY_ASSIGN_OR_RETURN(uint64_t row,
                         table->AppendVersion(values, MakeTxnStamp(txn->id_)));
   txn->writes_.push_back({table, row, /*is_delete=*/false});
-  return AppendLog(EncodeInsert(txn->id_, table->name(), values));
+  return LogWrite(EncodeInsert(txn->id_, table->name(), values));
 }
 
 Status TransactionManager::Insert(Transaction* txn, RowTable* table, const Row& values) {
@@ -37,7 +85,7 @@ Status TransactionManager::Insert(Transaction* txn, RowTable* table, const Row& 
   POLY_ASSIGN_OR_RETURN(uint64_t row,
                         table->AppendVersion(values, MakeTxnStamp(txn->id_)));
   txn->writes_.push_back({table, row, /*is_delete=*/false});
-  return AppendLog(EncodeInsert(txn->id_, table->name(), values));
+  return LogWrite(EncodeInsert(txn->id_, table->name(), values));
 }
 
 Status TransactionManager::Delete(Transaction* txn, ColumnTable* table, uint64_t row) {
@@ -48,7 +96,7 @@ Status TransactionManager::Delete(Transaction* txn, ColumnTable* table, uint64_t
   }
   POLY_RETURN_IF_ERROR(table->SetDeleteStamp(row, MakeTxnStamp(txn->id_)));
   txn->writes_.push_back({table, row, /*is_delete=*/true});
-  return AppendLog(EncodeDelete(txn->id_, table->name(), row));
+  return LogWrite(EncodeDelete(txn->id_, table->name(), row));
 }
 
 Status TransactionManager::Delete(Transaction* txn, RowTable* table, uint64_t row) {
@@ -59,7 +107,7 @@ Status TransactionManager::Delete(Transaction* txn, RowTable* table, uint64_t ro
   }
   POLY_RETURN_IF_ERROR(table->SetDeleteStamp(row, MakeTxnStamp(txn->id_)));
   txn->writes_.push_back({table, row, /*is_delete=*/true});
-  return AppendLog(EncodeDelete(txn->id_, table->name(), row));
+  return LogWrite(EncodeDelete(txn->id_, table->name(), row));
 }
 
 Status TransactionManager::Update(Transaction* txn, ColumnTable* table, uint64_t row,
@@ -77,8 +125,11 @@ Status TransactionManager::Commit(Transaction* txn) {
   // only ever advanced here, under write_mu_, so commit_ts cannot change
   // between the log write and the publish below.
   uint64_t commit_ts = clock_.load(std::memory_order_relaxed) + 1;
-  Status logged = AppendLog(EncodeCommit(txn->id_, commit_ts));
-  if (logged.ok() && log_ != nullptr) logged = log_->Sync();
+  Status logged = unlogged_;
+  if (logged.ok() && log_ != nullptr) {
+    logged = log_->Append(EncodeCommit(txn->id_, commit_ts));
+    if (logged.ok()) logged = log_->Sync();
+  }
   if (!logged.ok()) {
     AbortLocked(txn);
     return logged;
@@ -131,7 +182,8 @@ void TransactionManager::AbortLocked(Transaction* txn) {
 }
 
 Status TransactionManager::LogCreateTable(const std::string& name, const Schema& schema) {
-  return AppendLog(EncodeCreateTable(name, schema));
+  std::lock_guard<std::mutex> lock(write_mu_);
+  return LogWrite(EncodeCreateTable(name, schema));
 }
 
 uint64_t TransactionManager::OldestActiveSnapshot() const {
@@ -139,51 +191,6 @@ uint64_t TransactionManager::OldestActiveSnapshot() const {
   uint64_t oldest = clock_.load(std::memory_order_acquire);
   for (const auto& [_, snap] : active_snapshots_) oldest = std::min(oldest, snap);
   return oldest;
-}
-
-std::string TransactionManager::EncodeInsert(uint64_t txn_id, const std::string& table,
-                                             const Row& values) {
-  Serializer s;
-  s.PutU8(static_cast<uint8_t>(RedoKind::kInsert));
-  s.PutU64(txn_id);
-  s.PutString(table);
-  s.PutVarint(values.size());
-  for (const auto& v : values) WriteValue(&s, v);
-  return s.Release();
-}
-
-std::string TransactionManager::EncodeDelete(uint64_t txn_id, const std::string& table,
-                                             uint64_t row) {
-  Serializer s;
-  s.PutU8(static_cast<uint8_t>(RedoKind::kDelete));
-  s.PutU64(txn_id);
-  s.PutString(table);
-  s.PutU64(row);
-  return s.Release();
-}
-
-std::string TransactionManager::EncodeCommit(uint64_t txn_id, uint64_t commit_ts) {
-  Serializer s;
-  s.PutU8(static_cast<uint8_t>(RedoKind::kCommit));
-  s.PutU64(txn_id);
-  s.PutU64(commit_ts);
-  return s.Release();
-}
-
-std::string TransactionManager::EncodeCreateTable(const std::string& name,
-                                                  const Schema& schema) {
-  Serializer s;
-  s.PutU8(static_cast<uint8_t>(RedoKind::kCreateTable));
-  s.PutString(name);
-  s.PutVarint(schema.num_columns());
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    const ColumnDef& def = schema.column(c);
-    s.PutString(def.name);
-    s.PutU8(static_cast<uint8_t>(def.type));
-    s.PutU8(def.nullable ? 1 : 0);
-    s.PutU8(def.generated_key_order ? 1 : 0);
-  }
-  return s.Release();
 }
 
 Status TransactionManager::Recover(const std::vector<std::string>& records,

@@ -87,7 +87,9 @@ class TransactionManager {
   Status Update(Transaction* txn, ColumnTable* table, uint64_t row, const Row& values);
 
   /// Appends and syncs the commit record, then makes the writes visible.
-  /// A failed append or sync aborts the transaction and returns the error.
+  /// A failed append or sync aborts the transaction and returns the error;
+  /// so does a create, insert or delete record of any transaction that
+  /// failed to reach the log earlier (DESIGN.md §9).
   Status Commit(Transaction* txn);
   Status Abort(Transaction* txn);
 
@@ -103,16 +105,9 @@ class TransactionManager {
   /// writes of committed transactions with their final timestamps.
   static Status Recover(const std::vector<std::string>& records, Database* db);
 
-  /// Serialization helpers shared with the SOE transaction broker.
-  static std::string EncodeInsert(uint64_t txn_id, const std::string& table,
-                                  const Row& values);
-  static std::string EncodeDelete(uint64_t txn_id, const std::string& table,
-                                  uint64_t row);
-  static std::string EncodeCommit(uint64_t txn_id, uint64_t commit_ts);
-  static std::string EncodeCreateTable(const std::string& name, const Schema& schema);
-
  private:
-  Status AppendLog(std::string record);
+  /// Appends a create, insert or delete record; caller holds write_mu_.
+  Status LogWrite(std::string record);
   /// Rolls back `txn`'s writes and retires it; caller holds write_mu_.
   void AbortLocked(Transaction* txn);
 
@@ -123,6 +118,12 @@ class TransactionManager {
   mutable std::mutex mu_;
   std::map<uint64_t, uint64_t> active_snapshots_;  // txn id -> snapshot ts
   std::mutex write_mu_;  // serializes write/commit critical sections
+  /// First create, insert or delete record that did not reach the log.
+  /// Memory then holds a table or row slot the log lacks, and recovery
+  /// numbers rows by replay order, so every later write and commit fails
+  /// with this error until the database is recovered from the log
+  /// (DESIGN.md §9). Guarded by write_mu_.
+  Status unlogged_;
 };
 
 }  // namespace poly

@@ -2,6 +2,7 @@
 
 #include "aging/aging.h"
 #include "aging/extended_storage.h"
+#include "hadoop/dfs_tier_store.h"
 #include "query/executor.h"
 
 namespace poly {
@@ -264,14 +265,18 @@ TEST(ExtendedStorageTest, ColdTierViaDfs) {
   ASSERT_TRUE(tm.Commit(txn.get()).ok());
 
   ExtendedStorage storage;
+  DfsTierStore cold(&dfs);
   ASSERT_TRUE(storage.Demote(&db, "cold").ok());
-  ASSERT_TRUE(storage.DemoteToCold("cold", &dfs).ok());
+  ASSERT_TRUE(cold.Sink(&storage, "cold").ok());
   EXPECT_FALSE(storage.Contains("cold"));  // moved on from warm tier
-  EXPECT_TRUE(dfs.Exists(ExtendedStorage::ColdPath("cold")));
+  EXPECT_TRUE(dfs.Exists(DfsTierStore::ColdPath("cold")));
 
-  auto back = storage.PromoteFromCold(&db, "cold", &dfs);
+  auto back = cold.PageIn(&db, "cold");
   ASSERT_TRUE(back.ok());
   EXPECT_EQ((*back)->CountVisible(LatestCommittedView()), 1u);
+  // The partition lives in exactly one tier: paging in deletes the DFS file.
+  EXPECT_FALSE(cold.Contains("cold"));
+  EXPECT_FALSE(dfs.Exists(DfsTierStore::ColdPath("cold")));
 }
 
 }  // namespace

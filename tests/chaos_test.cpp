@@ -1,19 +1,25 @@
 // Deterministic fault injection and chaos-recovery suite for the SOE
 // cluster (§IV: "individual node failures must not affect overall
-// availability"). Everything here is seeded: any failure is reproducible
+// availability"), plus the crash-point oracle of the single-node redo log.
+// Everything here is seeded: any failure is reproducible
 // by re-running with the seed printed in the failure message, e.g.
 //   POLY_CHAOS_SEED=17 ./tests/poly_tests --gtest_filter='ChaosOracle.*'
 // scripts/chaos_sweep.sh sweeps many seeds and prints failing ones.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <thread>
 
 #include "soe/rdd.h"
 #include "soe_test_util.h"
 #include "txn/redo_log.h"
+#include "txn/transaction_manager.h"
 
 namespace poly {
 namespace {
@@ -681,9 +687,11 @@ TEST(ChaosMetrics, FaultScheduleEventsAreCounted) {
   EXPECT_NE(page.find("soe_net_messages"), std::string::npos);
 }
 
-TEST(ChaosOracle, FaultyAndReferenceClustersConverge) {
+/// Runs `oracle` on the seed POLY_CHAOS_SEED names, else on seeds
+/// 1..POLY_CHAOS_SEEDS (default 50), stopping at the first fatal failure.
+void RunOracleSeeds(void (*oracle)(uint64_t)) {
   if (const char* env = std::getenv("POLY_CHAOS_SEED")) {
-    RunChaosOracle(static_cast<uint64_t>(std::strtoull(env, nullptr, 10)));
+    oracle(static_cast<uint64_t>(std::strtoull(env, nullptr, 10)));
     return;
   }
   int seeds = 50;
@@ -691,9 +699,133 @@ TEST(ChaosOracle, FaultyAndReferenceClustersConverge) {
     seeds = std::max(1, std::atoi(env));
   }
   for (int seed = 1; seed <= seeds; ++seed) {
-    RunChaosOracle(static_cast<uint64_t>(seed));
+    oracle(static_cast<uint64_t>(seed));
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(ChaosOracle, FaultyAndReferenceClustersConverge) { RunOracleSeeds(RunChaosOracle); }
+
+// ---------- Crash-point oracle: the redo log under IO faults ----------
+
+/// One scripted transaction of the crash-point workload.
+struct ScriptedTxn {
+  int inserts = 1;    ///< fresh ids, 1-4
+  int deletes = 0;    ///< visible rows to delete, 0-2
+  bool abort = false;
+  uint64_t pick = 0;  ///< seeds which visible rows the deletes hit
+};
+
+/// Ids of the rows of `t` visible to `view`.
+std::set<int64_t> VisibleIdSet(const ColumnTable& t, const ReadView& view) {
+  std::set<int64_t> ids;
+  t.ScanVisible(view, [&](uint64_t r) { ids.insert(t.GetValue(r, 0).AsInt()); });
+  return ids;
+}
+
+/// Runs the seed's script on a fresh file RedoLog whose k-th "append" or
+/// "sync" fault-hook call fails (k = 0: none), reopens the file and
+/// recovers it. The client ignores errors and keeps issuing its script.
+/// The recovered rows must equal a serial replay of exactly the
+/// transactions whose Commit returned OK, and nothing commits after a
+/// failed sync. Returns the number of append/sync calls the run made.
+int RunCrashPoint(uint64_t seed, int k, const std::string& path) {
+  SCOPED_TRACE("crash point k=" + std::to_string(k));
+  std::vector<ScriptedTxn> script(10);
+  Random rng(Random::Mix(seed, 0x10f11e));
+  for (ScriptedTxn& s : script) {
+    s.inserts = 1 + static_cast<int>(rng.Uniform(4));
+    s.deletes = static_cast<int>(rng.Uniform(3));
+    s.abort = rng.Uniform(5) == 0;
+    s.pick = rng.Next();
+  }
+
+  std::remove(path.c_str());
+  std::set<int64_t> committed;  // the serial replay of acknowledged commits
+  int calls = 0;
+  {
+    auto log = RedoLog::OpenFile(path);
+    EXPECT_TRUE(log.ok()) << log.status().ToString();
+    if (!log.ok()) return 0;
+    bool sync_failed = false;
+    (*log)->SetFaultInjector([&](const char* op) -> Status {
+      std::string name(op);
+      if (name != "append" && name != "sync") return Status::OK();
+      if (++calls != k) return Status::OK();
+      sync_failed = name == "sync";
+      return Status::IOError("injected " + name + " failure");
+    });
+    Database db;
+    TransactionManager tm(log->get());
+    Schema schema({ColumnDef("id", DataType::kInt64)});
+    (void)tm.LogCreateTable("t", schema);
+    ColumnTable* t = *db.CreateTable("t", schema);
+    int64_t next_id = 0;
+    for (const ScriptedTxn& s : script) {
+      auto txn = tm.Begin();
+      std::set<int64_t> inserted, deleted;
+      for (int i = 0; i < s.inserts; ++i) {
+        int64_t id = next_id++;
+        if (tm.Insert(txn.get(), t, {Value::Int(id)}).ok()) inserted.insert(id);
+      }
+      std::vector<uint64_t> visible;
+      t->ScanVisible(txn->View(), [&](uint64_t r) { visible.push_back(r); });
+      Random pick(s.pick);
+      for (int d = 0; d < s.deletes && !visible.empty(); ++d) {
+        size_t i = pick.Uniform(visible.size());
+        uint64_t row = visible[i];
+        visible.erase(visible.begin() + static_cast<std::ptrdiff_t>(i));
+        if (tm.Delete(txn.get(), t, row).ok()) deleted.insert(t->GetValue(row, 0).AsInt());
+      }
+      if (s.abort) {
+        (void)tm.Abort(txn.get());
+        continue;
+      }
+      bool after_failed_sync = sync_failed;
+      if (!tm.Commit(txn.get()).ok()) continue;
+      EXPECT_FALSE(after_failed_sync) << "a commit succeeded after a failed sync";
+      committed.insert(inserted.begin(), inserted.end());
+      for (int64_t id : deleted) committed.erase(id);
+    }
+    // Durable before visible: memory shows exactly the acknowledged commits.
+    EXPECT_EQ(VisibleIdSet(*t, tm.AutoCommitView()), committed);
+  }  // crash
+
+  auto reopened = RedoLog::OpenFile(path);
+  EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
+  if (!reopened.ok()) return calls;
+  std::vector<std::string> records;
+  EXPECT_TRUE((*reopened)
+                  ->ForEach([&](const std::string& r) {
+                    records.push_back(r);
+                    return Status::OK();
+                  })
+                  .ok());
+  Database recovered;
+  Status replayed = TransactionManager::Recover(records, &recovered);
+  EXPECT_TRUE(replayed.ok()) << replayed.ToString();
+  auto table = recovered.GetTable("t");
+  std::set<int64_t> rows;
+  if (table.ok()) rows = VisibleIdSet(**table, LatestCommittedView());
+  EXPECT_EQ(rows, committed);
+  return calls;
+}
+
+void RunRedoLogCrashPoints(uint64_t seed) {
+  SCOPED_TRACE("crash-point seed " + std::to_string(seed) +
+               " (replay: POLY_CHAOS_SEED=" + std::to_string(seed) +
+               " poly_tests --gtest_filter='ChaosOracle.*')");
+  std::string path = testing::TempDir() + "/poly_crash_points." + std::to_string(getpid()) +
+                     ".log";
+  int calls = RunCrashPoint(seed, 0, path);
+  for (int k = 1; k <= calls && !::testing::Test::HasFailure(); ++k) {
+    RunCrashPoint(seed, k, path);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ChaosOracle, RedoLogCrashPointsRecoverExactlyTheAcknowledgedCommits) {
+  RunOracleSeeds(RunRedoLogCrashPoints);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -25,6 +27,18 @@ struct FreshLogDir {
   ~FreshLogDir() { std::filesystem::remove_all(path); }
   std::string path;
 };
+
+/// Appends what a crash mid-append leaves: a RedoLog frame header
+/// ([u32 length][u32 CRC-32C]) promising far more payload than follows.
+void PlantTornFrame(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  uint32_t len = 1000, crc = 0;
+  std::fwrite(&len, sizeof(len), 1, f);
+  std::fwrite(&crc, sizeof(crc), 1, f);
+  std::fwrite("xx", 1, 2, f);  // far short of len
+  std::fclose(f);
+}
 
 // The ChaosDurableLog suite rides the existing `ctest -L chaos` label (the
 // chaos test target filters on Chaos*): crash-recovery belongs with the
@@ -77,15 +91,7 @@ TEST(ChaosDurableLog, TruncatedTailFrameIsDiscarded) {
 
   // Simulate a crash mid-write: append a torn frame (header promising more
   // payload than exists) to one unit file.
-  {
-    std::FILE* f = std::fopen((dir.path + "/unit0.log").c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    uint64_t offset = 2, len = 1000;
-    std::fwrite(&offset, sizeof(offset), 1, f);
-    std::fwrite(&len, sizeof(len), 1, f);
-    std::fwrite("xx", 1, 2, f);  // far short of len
-    std::fclose(f);
-  }
+  PlantTornFrame(dir.path + "/unit0.log");
 
   SharedLog recovered(opts);
   EXPECT_EQ(recovered.Tail(), 2u);  // the torn frame never happened
@@ -110,15 +116,7 @@ TEST(ChaosDurableLog, AppendAfterTornTailSurvivesSecondCrash) {
   }
 
   // Crash mid-write: a torn frame at the tail of the only unit file.
-  {
-    std::FILE* f = std::fopen((dir.path + "/unit0.log").c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    uint64_t offset = 2, len = 1000;
-    std::fwrite(&offset, sizeof(offset), 1, f);
-    std::fwrite(&len, sizeof(len), 1, f);
-    std::fwrite("xx", 1, 2, f);  // far short of len
-    std::fclose(f);
-  }
+  PlantTornFrame(dir.path + "/unit0.log");
 
   // First recovery must not just skip the torn frame in memory — it must
   // truncate it, or the next append lands after the garbage bytes and the
@@ -137,6 +135,83 @@ TEST(ChaosDurableLog, AppendAfterTornTailSurvivesSecondCrash) {
   EXPECT_EQ(*recovered.Read(0), "alpha");
   EXPECT_EQ(*recovered.Read(1), "beta");
   EXPECT_EQ(*recovered.Read(2), "gamma");
+}
+
+// A unit whose file fails its checksum before the last frame cannot be
+// trusted: it starts down, and its replicas are served by the other unit.
+TEST(ChaosDurableLog, UnreadableUnitStartsDown) {
+  FreshLogDir dir("poly_durable_log_corrupt");
+  SharedLog::Options opts;
+  opts.num_log_units = 2;
+  opts.replication = 2;  // every record on both units
+  opts.durable_dir = dir.path;
+
+  {
+    SharedLog log(opts);
+    ASSERT_TRUE(log.Append("alpha").ok());
+    ASSERT_TRUE(log.Append("beta").ok());
+  }
+  // Flip the first payload byte of unit 0's first frame (after the 8-byte
+  // frame header and the 8-byte offset).
+  {
+    std::FILE* f = std::fopen((dir.path + "/unit0.log").c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 16, SEEK_SET);
+    std::fputc('A', f);
+    std::fclose(f);
+  }
+
+  SharedLog recovered(opts);
+  EXPECT_EQ(recovered.records_stored(0), 0u);
+  EXPECT_EQ(recovered.Tail(), 2u);
+  EXPECT_EQ(*recovered.Read(0), "alpha");
+  EXPECT_EQ(*recovered.Read(1), "beta");
+}
+
+// A replica counts only when its unit's RedoLog append and sync both
+// succeeded: with a 64-byte file-size limit the unit file fills up after a
+// few records, and every append past it fails without consuming an offset.
+// A fresh log on the same directory recovers exactly the acknowledged
+// appends.
+TEST(ChaosDurableLog, UnitWriteFailureIsNotAcknowledged) {
+  FreshLogDir dir("poly_durable_log_fsize");
+  SharedLog::Options opts;
+  opts.num_log_units = 1;
+  opts.replication = 1;
+  opts.durable_dir = dir.path;
+
+  std::vector<std::string> acked;
+  std::vector<StatusCode> failures;
+  {
+    SharedLog log(opts);
+    struct rlimit saved;
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+    struct rlimit small = saved;
+    small.rlim_cur = 64;
+    auto old_handler = std::signal(SIGXFSZ, SIG_IGN);  // fail with EFBIG instead
+    bool limited = setrlimit(RLIMIT_FSIZE, &small) == 0;
+    for (int i = 0; limited && i < 8; ++i) {
+      std::string rec = "r" + std::to_string(i);
+      auto off = log.Append(rec);
+      if (off.ok() && *off == acked.size()) {
+        acked.push_back(rec);
+      } else {
+        failures.push_back(off.status().code());
+      }
+    }
+    // Lift the limit before any assertion: gtest writes files too.
+    if (limited) setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, old_handler);
+    ASSERT_TRUE(limited);
+    ASSERT_FALSE(acked.empty());
+    ASSERT_FALSE(failures.empty());
+    for (StatusCode code : failures) EXPECT_EQ(code, StatusCode::kUnavailable);
+    EXPECT_EQ(log.Tail(), acked.size());  // failed appends consumed nothing
+  }
+
+  SharedLog recovered(opts);
+  ASSERT_EQ(recovered.Tail(), acked.size());
+  for (size_t i = 0; i < acked.size(); ++i) EXPECT_EQ(*recovered.Read(i), acked[i]);
 }
 
 TEST(ChaosDurableLog, FreshClusterRecoversCommittedWrites) {

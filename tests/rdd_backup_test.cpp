@@ -172,6 +172,19 @@ TEST(BackupTest, FileRoundTripAndCorruptionDetected) {
   std::remove(path.c_str());
 }
 
+// A backup that never reaches the disk is an error: /dev/full accepts the
+// buffered write and fails its flush with ENOSPC.
+TEST(BackupTest, FullDiskBackupFails) {
+  if (access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no writable /dev/full";
+  Database db;
+  TransactionManager tm;
+  ColumnTable* t = *db.CreateTable("t", Schema({ColumnDef("k", DataType::kInt64)}));
+  auto txn = tm.Begin();
+  ASSERT_TRUE(tm.Insert(txn.get(), t, {Value::Int(9)}).ok());
+  ASSERT_TRUE(tm.Commit(txn.get()).ok());
+  EXPECT_EQ(BackupDatabaseToFile(db, "/dev/full").code(), StatusCode::kIOError);
+}
+
 // Backup -> inject faults -> restore: a snapshot taken before the chaos
 // must restore to exactly the pre-fault state, untouched by the drops,
 // crash, and extra commits that happen after it was taken.

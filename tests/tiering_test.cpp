@@ -664,7 +664,7 @@ TEST_F(TieringDaemonFixture, ColdDemotionAndDemandPageIn) {
   EXPECT_GT(r2->priced_bytes, r2->moved_bytes);  // cold move priced > raw
   EXPECT_FALSE(storage_.Contains(PartName(0)));
   EXPECT_TRUE(cold_.Contains(PartName(0)));
-  EXPECT_TRUE(dfs_.Exists(ExtendedStorage::ColdPath(PartName(0))));
+  EXPECT_TRUE(dfs_.Exists(DfsTierStore::ColdPath(PartName(0))));
 
   std::string explain = daemon.Explain(PartName(0));
   EXPECT_NE(explain.find("tier=cold"), std::string::npos);
@@ -680,7 +680,7 @@ TEST_F(TieringDaemonFixture, ColdDemotionAndDemandPageIn) {
   // Moving out of the cold tier deletes the DFS file: residency stays
   // unambiguous.
   EXPECT_FALSE(cold_.Contains(PartName(0)));
-  EXPECT_FALSE(dfs_.Exists(ExtendedStorage::ColdPath(PartName(0))));
+  EXPECT_FALSE(dfs_.Exists(DfsTierStore::ColdPath(PartName(0))));
   EXPECT_EQ(metrics::Default().counter("tier.cold.page_ins")->Value(),
             page_ins_before + 1);
   std::string after = daemon.Explain(PartName(0));
