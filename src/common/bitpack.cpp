@@ -28,19 +28,6 @@ void BitPackedVector::Append(uint64_t value) {
   ++size_;
 }
 
-uint64_t BitPackedVector::Get(size_t index) const {
-  assert(index < size_);
-  size_t bit_pos = index * static_cast<size_t>(bits_);
-  size_t word = bit_pos / 64;
-  size_t offset = bit_pos % 64;
-  uint64_t value = words_[word] >> offset;
-  if (offset + bits_ > 64) {
-    value |= words_[word + 1] << (64 - offset);
-  }
-  if (bits_ < 64) value &= (1ULL << bits_) - 1;
-  return value;
-}
-
 void BitPackedVector::Set(size_t index, uint64_t value) {
   assert(index < size_);
   assert(bits_ == 64 || (value >> bits_) == 0);

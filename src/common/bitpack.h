@@ -23,7 +23,15 @@ class BitPackedVector {
   explicit BitPackedVector(int bits = 1);
 
   void Append(uint64_t value);
-  uint64_t Get(size_t index) const;
+  uint64_t Get(size_t index) const {
+    size_t bit_pos = index * static_cast<size_t>(bits_);
+    size_t word = bit_pos / 64;
+    size_t offset = bit_pos % 64;
+    uint64_t value = words_[word] >> offset;
+    if (offset + bits_ > 64) value |= words_[word + 1] << (64 - offset);
+    if (bits_ < 64) value &= (1ULL << bits_) - 1;
+    return value;
+  }
   void Set(size_t index, uint64_t value);
 
   size_t size() const { return size_; }

@@ -1,9 +1,14 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <map>
+#include <numeric>
+#include <optional>
+#include <set>
 #include <unordered_map>
 
 #include "common/metrics.h"
@@ -100,6 +105,40 @@ void MorselConcat(ThreadPool* tp, size_t morsel, size_t n, const Body& body,
   }
 }
 
+/// Indices in `cols` below `width` (a column past the table reads NULL).
+std::vector<size_t> ColumnsBelow(const std::set<size_t>& cols, size_t width) {
+  std::vector<size_t> out;
+  for (size_t c : cols) {
+    if (c < width) out.push_back(c);
+  }
+  return out;
+}
+
+/// Folds input rows [0, n) into `out`: in one call when serial (no pool,
+/// or one morsel), else into one make() table per morsel, merged into
+/// `out` in morsel order by merge(local, out). So a group's first
+/// occurrence over the input fixes its position at every thread count, and
+/// FP sums follow the fixed morsel reduction tree.
+template <typename Table, typename MakeFn, typename AccumulateFn, typename MergeFn>
+void FoldMorsels(ThreadPool* tp, size_t morsel, size_t n, const MakeFn& make,
+                 const AccumulateFn& accumulate, const MergeFn& merge, Table* out) {
+  if (tp == nullptr || n <= morsel) {
+    accumulate(size_t{0}, n, out);
+    return;
+  }
+  size_t num_morsels = (n + morsel - 1) / morsel;
+  std::vector<std::optional<Table>> locals(num_morsels);
+  tp->ParallelFor(
+      num_morsels,
+      [&](size_t m) {
+        size_t begin = m * morsel;
+        locals[m].emplace(make());
+        accumulate(begin, std::min(n, begin + morsel), &*locals[m]);
+      },
+      /*grain=*/1);
+  for (const auto& local : locals) merge(*local, out);
+}
+
 /// Hash of a group key / join key.
 struct RowKeyHash {
   size_t operator()(const Row& key) const {
@@ -113,142 +152,662 @@ struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };
 
-struct AggState {
-  uint64_t count = 0;
-  double sum = 0;
-  int64_t sum_int = 0;
-  bool all_int = true;
-  bool has_value = false;
-  Value min, max;
+/// Value -> code map over values that stay in place (dictionary entries, a
+/// join side's cells): keys are pointers, so numbering copies no Value.
+struct ValuePtrHash {
+  size_t operator()(const Value* v) const { return v->Hash(); }
+};
+struct ValuePtrEq {
+  bool operator()(const Value* a, const Value* b) const { return *a == *b; }
+};
+using ValueCodes = std::unordered_map<const Value*, uint32_t, ValuePtrHash, ValuePtrEq>;
+
+/// An aggregate input as a fold reads it: what COUNT, SUM, AVG, MIN and
+/// MAX need of one Value, decoded once per dictionary entry of a scanned
+/// column, or per row from a join side's cell or a computed value.
+struct Cell {
+  enum Kind : uint8_t { kNull, kInt, kNumber, kOther };
+  const Value* v = nullptr;  ///< the input itself, never copied
+  double num = 0;            ///< v->NumericValue()
+  int64_t i = 0;             ///< v->AsInt() when kind == kInt
+  Kind kind = kNull;         ///< kInt: BIGINT; kNumber: DOUBLE or TIMESTAMP
+
+  const Value& value() const { return *v; }
+  bool numeric() const { return kind == kInt || kind == kNumber; }
 };
 
-/// Folds one input row into the aggregate states of its group, updating
-/// only the fields its function reads: count (COUNT, AVG), sums (SUM, AVG),
-/// min or max. A column input is read in place, not copied.
-void UpdateAggStates(const std::vector<AggSpec>& aggregates,
-                     std::vector<AggState>* states, const Row& row) {
-  for (size_t a = 0; a < aggregates.size(); ++a) {
-    const AggSpec& spec = aggregates[a];
-    AggState& st = (*states)[a];
-    Value computed = spec.input ? Value::Null() : Value::Int(1);
-    const Value* v = &computed;
-    if (spec.input && spec.input->kind() == ExprKind::kColumn) {
-      if (spec.input->column_index() < row.size()) v = &row[spec.input->column_index()];
-    } else if (spec.input) {
-      computed = spec.input->Eval(row);
-    }
-    if (v->is_null()) continue;
-    ++st.count;
-    switch (spec.func) {
-      case AggFunc::kCount:
-        break;
-      case AggFunc::kSum:
-      case AggFunc::kAvg:
-        if (v->type() == DataType::kInt64) {
-          st.sum_int += v->AsInt();
-        } else {
-          st.all_int = false;
-        }
-        st.sum += v->NumericValue();
-        break;
-      case AggFunc::kMin:
-        if (!st.has_value || *v < st.min) st.min = *v;
-        break;
-      case AggFunc::kMax:
-        if (!st.has_value || st.max < *v) st.max = *v;
-        break;
-    }
-    st.has_value = true;
+Cell MakeCell(const Value& v) {
+  Cell c;
+  c.v = &v;
+  switch (v.type()) {
+    case DataType::kNull:
+      break;
+    case DataType::kInt64:
+      c.kind = Cell::kInt;
+      c.i = v.AsInt();
+      c.num = static_cast<double>(c.i);
+      break;
+    case DataType::kDouble:
+    case DataType::kTimestamp:
+      c.kind = Cell::kNumber;
+      c.num = v.NumericValue();
+      break;
+    default:
+      c.kind = Cell::kOther;
+      c.num = v.NumericValue();
+  }
+  return c;
+}
+
+/// COUNT(*)'s input: one non-null value per row.
+const Cell& OneCell() {
+  static const Value one = Value::Int(1);
+  static const Cell cell = MakeCell(one);
+  return cell;
+}
+
+/// A column input past the input's width reads NULL.
+const Cell& NullCell() {
+  static const Cell cell;
+  return cell;
+}
+
+/// Computed MIN/MAX inputs a group table keeps: a deque, so a pointer to an
+/// element stays valid as it grows.
+using ValueStore = std::deque<Value>;
+
+/// MIN or MAX so far: the input in place when it outlives the fold (a
+/// column of the fold's input), else a copy in the table's ValueStore.
+struct Extreme {
+  const Value* v = nullptr;
+  double num = 0;  ///< v->NumericValue() when is_numeric
+  bool is_numeric = false;
+  bool owned = false;  ///< v is in a table's ValueStore
+
+  const Value& value() const { return *v; }
+  bool numeric() const { return is_numeric; }
+};
+
+/// a < b exactly as Value::operator< decides it, on the decoded numbers
+/// when both sides are int64 or double.
+template <typename A, typename B>
+bool Below(const A& a, const B& b) {
+  return a.numeric() && b.numeric() ? a.num < b.num : a.value() < b.value();
+}
+
+/// Whether `x` replaces the current MIN (MAX): strictly below (above) it,
+/// so the first occurrence wins a tie.
+template <typename X>
+bool Improves(AggFunc func, const X& x, const Extreme& current) {
+  return func == AggFunc::kMin ? Below(x, current) : Below(current, x);
+}
+
+struct AggState {
+  uint64_t count = 0;   ///< non-null inputs (COUNT, AVG, "has a value")
+  double sum = 0;       ///< SUM, AVG, in input order
+  int64_t sum_int = 0;  ///< SUM while all_int
+  bool all_int = true;  ///< every SUM input is a BIGINT and sum_int fits
+  Extreme extreme;      ///< MIN or MAX
+};
+
+/// SUM's exact int64 sum: an input that is not a BIGINT, or an add that
+/// overflows, leaves SUM to the double sum.
+void AddIntSum(AggState* st, bool is_int, int64_t v) {
+  if (st->all_int && (!is_int || __builtin_add_overflow(st->sum_int, v, &st->sum_int))) {
+    st->all_int = false;
   }
 }
 
-/// Merges a worker-local partial state into `dst` (the final-merge step of
-/// the parallel aggregate).
-void MergeAggState(AggState* dst, const AggState& src) {
+/// Folds one input into the state of aggregate `func`, updating only the
+/// fields it reads. `stable`: the input outlives the fold, so MIN/MAX keep
+/// a pointer to it; a computed input is copied into `store` instead.
+void Accumulate(AggFunc func, const Cell& in, bool stable, AggState* st, ValueStore* store) {
+  if (in.kind == Cell::kNull) return;
+  bool first = st->count++ == 0;
+  switch (func) {
+    case AggFunc::kCount:
+      break;
+    case AggFunc::kSum:
+      AddIntSum(st, in.kind == Cell::kInt, in.i);
+      st->sum += in.num;
+      break;
+    case AggFunc::kAvg:
+      st->sum += in.num;
+      break;
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      if (first || Improves(func, in, st->extreme)) {
+        st->extreme = {stable ? in.v : &store->emplace_back(*in.v), in.num, in.numeric(),
+                       !stable};
+      }
+      break;
+  }
+}
+
+/// Merges a morsel-local state into `dst`, copying a computed extreme into
+/// `store`: the one merge step of every parallel fold, typed or not.
+void MergeAggState(AggFunc func, AggState* dst, const AggState& src, ValueStore* store) {
+  bool first = dst->count == 0;
   dst->count += src.count;
   dst->sum += src.sum;
-  dst->sum_int += src.sum_int;
-  dst->all_int = dst->all_int && src.all_int;
-  if (src.has_value) {
-    if (!dst->has_value || src.min < dst->min) dst->min = src.min;
-    if (!dst->has_value || dst->max < src.max) dst->max = src.max;
-    dst->has_value = true;
+  AddIntSum(dst, src.all_int, src.sum_int);
+  if ((func == AggFunc::kMin || func == AggFunc::kMax) && src.count > 0 &&
+      (first || Improves(func, src.extreme, dst->extreme))) {
+    dst->extreme = src.extreme;
+    if (src.extreme.owned) dst->extreme.v = &store->emplace_back(*src.extreme.v);
   }
 }
 
-/// Hash-aggregation table that remembers first-occurrence order of its
-/// group keys. Both the serial path and the per-morsel thread-local tables
-/// use it, and the final merge walks local tables in morsel order, so group
-/// emission order is the first-occurrence order over the input no matter
-/// how many threads ran.
+/// Folds one materialized input row into the states of its group. A
+/// column input is read in place; the rows outlive the fold.
+void UpdateAggStates(const std::vector<AggSpec>& aggregates, AggState* states,
+                     const Row& row, ValueStore* store) {
+  for (size_t a = 0; a < aggregates.size(); ++a) {
+    const AggSpec& spec = aggregates[a];
+    if (!spec.input) {
+      Accumulate(spec.func, OneCell(), true, &states[a], store);
+    } else if (spec.input->kind() == ExprKind::kColumn) {
+      size_t c = spec.input->column_index();
+      Accumulate(spec.func, c < row.size() ? MakeCell(row[c]) : NullCell(), true, &states[a],
+                 store);
+    } else {
+      Value computed = spec.input->Eval(row);
+      Accumulate(spec.func, MakeCell(computed), false, &states[a], store);
+    }
+  }
+}
+
+/// Value-keyed hash-aggregation table that remembers first-occurrence
+/// order of its group keys: the fold over materialized rows, and the
+/// reference the typed fold is checked against.
 struct GroupTable {
   std::unordered_map<Row, size_t, RowKeyHash> index;
   std::vector<Row> keys;
-  std::vector<std::vector<AggState>> states;
+  std::vector<AggState> states;  ///< group * num_aggs + aggregate
+  ValueStore owned;
 
-  std::vector<AggState>* FindOrAdd(const Row& key, size_t num_aggs) {
+  AggState* FindOrAdd(const Row& key, size_t num_aggs) {
     auto it = index.find(key);
     if (it == index.end()) {
       it = index.emplace(key, keys.size()).first;
       keys.push_back(key);
-      states.emplace_back(num_aggs);
+      states.resize(states.size() + num_aggs);
     }
-    return &states[it->second];
+    return states.data() + it->second * num_aggs;
   }
 };
 
-/// Folds input rows [0, n) of an aggregate into one GroupTable.
-/// `for_rows(begin, end, fn)` calls fn(row) for input rows [begin, end) in
-/// input order; `row` needs only the group-key and aggregate-input columns.
-/// Thread-local tables per morsel are merged in morsel order, so group
-/// emission order (first occurrence over the input) and every aggregate
-/// match the serial fold; FP sums follow the morsel reduction tree.
-template <typename ForRows>
-GroupTable FoldGroups(ThreadPool* tp, size_t morsel, size_t n, const PlanNode& node,
-                      const ForRows& for_rows) {
+/// Folds materialized input rows into one GroupTable.
+GroupTable FoldRows(ThreadPool* tp, size_t morsel, const PlanNode& node,
+                    const std::vector<Row>& rows) {
   size_t num_aggs = node.aggregates.size();
-  auto accumulate_range = [&](size_t begin, size_t end, GroupTable* table) {
-    Row key;
-    key.reserve(node.group_by.size());
-    for_rows(begin, end, [&](const Row& row) {
-      key.clear();
-      for (size_t g : node.group_by) key.push_back(row[g]);
-      UpdateAggStates(node.aggregates, table->FindOrAdd(key, num_aggs), row);
-    });
-  };
   GroupTable groups;
-  if (tp == nullptr || n <= morsel) {
-    accumulate_range(0, n, &groups);
-    return groups;
-  }
-  size_t num_morsels = (n + morsel - 1) / morsel;
-  std::vector<GroupTable> locals(num_morsels);
-  tp->ParallelFor(
-      num_morsels,
-      [&](size_t m) {
-        size_t begin = m * morsel;
-        accumulate_range(begin, std::min(n, begin + morsel), &locals[m]);
+  FoldMorsels(
+      tp, morsel, rows.size(), [] { return GroupTable(); },
+      [&](size_t begin, size_t end, GroupTable* table) {
+        Row key;
+        key.reserve(node.group_by.size());
+        for (size_t i = begin; i < end; ++i) {
+          key.clear();
+          for (size_t g : node.group_by) key.push_back(rows[i][g]);
+          UpdateAggStates(node.aggregates, table->FindOrAdd(key, num_aggs), rows[i],
+                          &table->owned);
+        }
       },
-      /*grain=*/1);
-  for (auto& local : locals) {
-    for (size_t g = 0; g < local.keys.size(); ++g) {
-      std::vector<AggState>* dst = groups.FindOrAdd(local.keys[g], num_aggs);
-      for (size_t a = 0; a < num_aggs; ++a) {
-        MergeAggState(&(*dst)[a], local.states[g][a]);
-      }
-    }
-  }
+      [&](const GroupTable& local, GroupTable* out) {
+        for (size_t g = 0; g < local.keys.size(); ++g) {
+          AggState* dst = out->FindOrAdd(local.keys[g], num_aggs);
+          for (size_t a = 0; a < num_aggs; ++a) {
+            MergeAggState(node.aggregates[a].func, &dst[a], local.states[g * num_aggs + a],
+                          &out->owned);
+          }
+        }
+      },
+      &groups);
   return groups;
 }
 
-/// The aggregate's input columns its group keys and aggregate inputs read:
-/// all a fold loads per input row.
-std::vector<size_t> AggregateInputColumns(const PlanNode& node) {
-  std::set<size_t> cols(node.group_by.begin(), node.group_by.end());
-  for (const AggSpec& agg : node.aggregates) {
-    if (agg.input) agg.input->CollectColumns(&cols);
+/// Group slots of a typed fold, numbered in first-occurrence order and
+/// found by their key codes: through a dense array over the whole code
+/// space when that fits in one morsel (so clearing it costs no more than
+/// the morsel does), else through an open-addressed hash on the codes.
+class CodedSlots {
+ public:
+  CodedSlots(const std::vector<uint32_t>& spaces, size_t morsel)
+      : k_(spaces.size()), strides_(k_) {
+    uint64_t space = 1;
+    dense_ = true;
+    for (size_t g = k_; g-- > 0;) {
+      strides_[g] = space;
+      dense_ = dense_ && !__builtin_mul_overflow(space, uint64_t{spaces[g]}, &space) &&
+               space <= morsel;
+    }
+    index_.assign(dense_ ? space : 16, 0);
+    index_bytes_ = index_.size() * sizeof(uint32_t);
   }
-  return std::vector<size_t>(cols.begin(), cols.end());
+
+  size_t size() const { return size_; }
+  const uint32_t* codes(size_t slot) const { return codes_.data() + slot * k_; }
+  /// Bytes of the code -> slot index at its largest.
+  uint64_t index_bytes() const { return index_bytes_; }
+  /// Frees the index once no more codes are looked up; slot codes stay.
+  void ReleaseIndex() { std::vector<uint32_t>().swap(index_); }
+
+  uint32_t FindOrAdd(const uint32_t* codes, bool* added) {
+    uint32_t* entry;
+    if (dense_) {
+      uint64_t packed = 0;
+      for (size_t g = 0; g < k_; ++g) packed += codes[g] * strides_[g];
+      entry = &index_[packed];
+    } else {
+      if (2 * (size_ + 1) > index_.size()) Rehash(2 * index_.size());
+      entry = Probe(codes);
+    }
+    *added = *entry == 0;
+    if (*added) {
+      *entry = static_cast<uint32_t>(++size_);
+      codes_.insert(codes_.end(), codes, codes + k_);
+    }
+    return *entry - 1;
+  }
+
+ private:
+  /// The hashed index entry holding `codes`, or the empty one where it goes.
+  uint32_t* Probe(const uint32_t* codes) {
+    uint64_t h = 0;
+    for (size_t g = 0; g < k_; ++g) h = (h ^ codes[g]) * 0x9E3779B97F4A7C15ULL;
+    size_t mask = index_.size() - 1;
+    for (size_t i = (h ^ (h >> 32)) & mask;; i = (i + 1) & mask) {
+      uint32_t s = index_[i];
+      if (s == 0 || std::equal(codes, codes + k_, this->codes(s - 1))) return &index_[i];
+    }
+  }
+  void Rehash(size_t capacity) {
+    index_.assign(capacity, 0);
+    index_bytes_ = std::max<uint64_t>(index_bytes_, capacity * sizeof(uint32_t));
+    for (size_t s = 0; s < size_; ++s) *Probe(codes(s)) = static_cast<uint32_t>(s + 1);
+  }
+
+  size_t k_;
+  std::vector<uint64_t> strides_;  ///< dense: the mixed-radix packing
+  bool dense_;
+  std::vector<uint32_t> index_;    ///< slot + 1 by packed code or hash; 0 = none
+  std::vector<uint32_t> codes_;    ///< slot * k + g
+  size_t size_ = 0;
+  uint64_t index_bytes_ = 0;
+};
+
+/// A typed fold's groups: each slot's key values at their first
+/// occurrence, in place, and its aggregate states.
+struct CodedGroups {
+  CodedSlots slots;
+  std::vector<const Value*> keys;  ///< slot * k + g
+  std::vector<AggState> states;    ///< slot * num_aggs + aggregate
+  ValueStore owned;
+};
+
+/// The aggregate inputs of one typed-fold row. COUNT(*) reads a constant;
+/// each distinct plain-column input has a cell in `column` that the row
+/// source refreshes per row (from a lookup table or in place); expression
+/// inputs evaluate on `probe` after the source loads `probe_columns`.
+/// `agg[a]` points at aggregate a's cell. One per morsel; not copyable.
+struct InputCells {
+  std::vector<size_t> columns;        ///< distinct plain-column inputs
+  std::vector<size_t> probe_columns;  ///< columns the expression inputs read
+  std::vector<size_t> exprs;          ///< aggregates with an expression input
+  std::vector<Cell> column;
+  std::vector<Value> computed;
+  std::vector<Cell> expr;
+  std::vector<const Cell*> agg;
+  Row probe;
+
+  /// The distinct plain-column inputs below `width`, in aggregate order.
+  static std::vector<size_t> Columns(const PlanNode& node, size_t width) {
+    std::vector<size_t> cols;
+    for (const AggSpec& spec : node.aggregates) {
+      if (!spec.input || spec.input->kind() != ExprKind::kColumn) continue;
+      size_t c = spec.input->column_index();
+      if (c < width && std::find(cols.begin(), cols.end(), c) == cols.end()) cols.push_back(c);
+    }
+    return cols;
+  }
+
+  InputCells(const PlanNode& node, size_t width)
+      : columns(Columns(node, width)), column(columns.size()),
+        computed(node.aggregates.size()), expr(node.aggregates.size()),
+        agg(node.aggregates.size()), probe(width) {
+    std::set<size_t> read;
+    for (size_t a = 0; a < node.aggregates.size(); ++a) {
+      const ExprPtr& input = node.aggregates[a].input;
+      if (!input) {
+        agg[a] = &OneCell();
+      } else if (input->kind() != ExprKind::kColumn) {
+        exprs.push_back(a);
+        input->CollectColumns(&read);
+        agg[a] = &expr[a];
+      } else if (input->column_index() < width) {
+        agg[a] = &column[std::find(columns.begin(), columns.end(), input->column_index()) -
+                         columns.begin()];
+      } else {
+        agg[a] = &NullCell();
+      }
+    }
+    probe_columns = ColumnsBelow(read, width);
+  }
+  InputCells(const InputCells&) = delete;
+  InputCells& operator=(const InputCells&) = delete;
+
+  /// Evaluates the expression inputs on the loaded probe row.
+  void Evaluate(const PlanNode& node) {
+    for (size_t a : exprs) {
+      computed[a] = node.aggregates[a].input->Eval(probe);
+      expr[a] = MakeCell(computed[a]);
+    }
+  }
+};
+
+/// The typed fold. for_rows(begin, end, fn) calls fn(codes, cells, key_at)
+/// for input rows [begin, end) in order: the row's key codes, each
+/// aggregate's input cell, and key_at(g), the row's key g in place.
+template <typename ForRows>
+CodedGroups FoldCoded(ThreadPool* tp, size_t morsel, size_t n, const PlanNode& node,
+                      const std::vector<uint32_t>& spaces, const ForRows& for_rows) {
+  size_t k = node.group_by.size();
+  size_t num_aggs = node.aggregates.size();
+  std::vector<bool> stable(num_aggs);
+  for (size_t a = 0; a < num_aggs; ++a) {
+    const ExprPtr& input = node.aggregates[a].input;
+    stable[a] = !input || input->kind() == ExprKind::kColumn;
+  }
+  auto make = [&] { return CodedGroups{CodedSlots(spaces, morsel), {}, {}, {}}; };
+  CodedGroups groups = make();
+  FoldMorsels(
+      tp, morsel, n, make,
+      [&](size_t begin, size_t end, CodedGroups* t) {
+        for_rows(begin, end, [&](const uint32_t* codes, const Cell* const* cells,
+                                 const auto& key_at) {
+          bool added = false;
+          size_t slot = t->slots.FindOrAdd(codes, &added);
+          if (added) {
+            for (size_t g = 0; g < k; ++g) t->keys.push_back(key_at(g));
+            t->states.resize(t->states.size() + num_aggs);
+          }
+          AggState* st = t->states.data() + slot * num_aggs;
+          for (size_t a = 0; a < num_aggs; ++a) {
+            Accumulate(node.aggregates[a].func, *cells[a], stable[a], &st[a], &t->owned);
+          }
+        });
+        t->slots.ReleaseIndex();
+      },
+      [&](const CodedGroups& local, CodedGroups* out) {
+        for (size_t s = 0; s < local.slots.size(); ++s) {
+          bool added = false;
+          size_t slot = out->slots.FindOrAdd(local.slots.codes(s), &added);
+          if (added) {
+            auto first = local.keys.begin() + static_cast<std::ptrdiff_t>(s * k);
+            out->keys.insert(out->keys.end(), first, first + static_cast<std::ptrdiff_t>(k));
+            out->states.resize(out->states.size() + num_aggs);
+          }
+          for (size_t a = 0; a < num_aggs; ++a) {
+            MergeAggState(node.aggregates[a].func, &out->states[slot * num_aggs + a],
+                          local.states[s * num_aggs + a], &out->owned);
+          }
+        }
+      },
+      &groups);
+  return groups;
+}
+
+/// The typed fold's groups in GroupTable form: each key copied once per
+/// group, for the emission both folds share.
+GroupTable ToGroupTable(CodedGroups&& coded, size_t k) {
+  GroupTable out;
+  out.keys.resize(coded.slots.size());
+  for (size_t s = 0; s < out.keys.size(); ++s) {
+    for (size_t g = 0; g < k; ++g) out.keys[s].push_back(*coded.keys[s * k + g]);
+  }
+  out.states = std::move(coded.states);
+  out.owned = std::move(coded.owned);  // a deque move keeps element addresses
+  return out;
+}
+
+/// A dictionary's aggregate-input cells, decoded once per entry into two
+/// flat arrays: the kind, and the payload bits (AsInt() of a BIGINT, else
+/// NumericValue()). A fold reads 9 bytes per row instead of the 48-byte
+/// Value, which matters once the dictionary outgrows the caches.
+class CellTable {
+ public:
+  bool empty() const { return kind_.empty(); }
+  uint64_t MemoryBytes() const { return kind_.size() * (sizeof(Cell::Kind) + sizeof(uint64_t)); }
+
+  template <typename At>
+  void Decode(uint64_t n, const At& at) {
+    kind_.resize(n);
+    payload_.resize(n);
+    for (uint64_t id = 0; id < n; ++id) {
+      Cell c = MakeCell(at(id));
+      kind_[id] = c.kind;
+      payload_[id] = c.kind == Cell::kInt ? static_cast<uint64_t>(c.i)
+                                          : std::bit_cast<uint64_t>(c.num);
+    }
+  }
+  /// The cell of entry `id`, whose Value is `v`.
+  Cell Get(uint64_t id, const Value& v) const {
+    Cell c;
+    c.v = &v;
+    c.kind = kind_[id];
+    if (c.kind == Cell::kInt) {
+      c.i = static_cast<int64_t>(payload_[id]);
+      c.num = static_cast<double>(c.i);
+    } else {
+      c.num = std::bit_cast<double>(payload_[id]);
+    }
+    return c;
+  }
+
+ private:
+  std::vector<Cell::Kind> kind_;
+  std::vector<uint64_t> payload_;
+};
+
+/// One column of one scanned part, as the typed fold reads it by row id. As
+/// a group key: a code per dictionary entry. As an aggregate input: a
+/// CellTable per dictionary with no more entries than the part has
+/// selected rows; a larger dictionary (`*_cells` empty) is decoded in
+/// place per row.
+struct PartColumn {
+  const Column::Reader* col = nullptr;
+  uint64_t main_n = 0;  ///< this column's own: a merge republishes columns one at a time
+  std::vector<uint32_t> main_code, delta_code;
+  CellTable main_cells, delta_cells;
+
+  explicit PartColumn(const Column::Reader* c) : col(c), main_n(c->main_size()) {}
+
+  uint32_t Code(uint64_t r) const {
+    return r < main_n ? main_code[col->MainId(r)] : delta_code[col->DeltaId(r - main_n)];
+  }
+  const Value& At(uint64_t r) const {
+    return r < main_n ? col->main_dictionary().At(col->MainId(r))
+                      : col->DeltaDictValue(col->DeltaId(r - main_n));
+  }
+  Cell CellAt(uint64_t r) const {
+    if (r < main_n) {
+      uint64_t id = col->MainId(r);
+      const Value& v = col->main_dictionary().At(id);
+      return main_cells.empty() ? MakeCell(v) : main_cells.Get(id, v);
+    }
+    uint64_t id = col->DeltaId(r - main_n);
+    const Value& v = col->DeltaDictValue(id);
+    return delta_cells.empty() ? MakeCell(v) : delta_cells.Get(id, v);
+  }
+  void DecodeCells(size_t rows) {
+    const SortedDictionary& dict = col->main_dictionary();
+    if (dict.size() <= rows) {
+      main_cells.Decode(dict.size(), [&](uint64_t id) -> const Value& { return dict.At(id); });
+    }
+    if (col->delta_dict_size() <= rows) {
+      delta_cells.Decode(col->delta_dict_size(),
+                         [&](uint64_t id) -> const Value& { return col->DeltaDictValue(id); });
+    }
+  }
+  uint64_t MemoryBytes() const {
+    return (main_code.size() + delta_code.size()) * sizeof(uint32_t) +
+           main_cells.MemoryBytes() + delta_cells.MemoryBytes();
+  }
+};
+
+/// A scanned part's group-key and aggregate-input columns.
+struct PartColumns {
+  std::vector<PartColumn> keys, inputs;
+};
+
+/// Codes group key `g` of every part, once per dictionary entry, and
+/// returns the code space. One part: its main value ids, and each delta
+/// entry folded onto the main id of an equal value or numbered after the
+/// main dictionary. Several parts: one Value -> code map over them all.
+uint32_t CodeScanKey(std::vector<PartColumns>* parts, size_t g) {
+  if (parts->size() == 1) {
+    PartColumn& key = parts->front().keys[g];
+    const SortedDictionary& dict = key.col->main_dictionary();
+    key.main_code.resize(dict.size());
+    std::iota(key.main_code.begin(), key.main_code.end(), 0u);
+    auto next = static_cast<uint32_t>(dict.size());
+    for (uint64_t d = 0; d < key.col->delta_dict_size(); ++d) {
+      std::optional<uint64_t> id = dict.Lookup(key.col->DeltaDictValue(d));
+      key.delta_code.push_back(id ? static_cast<uint32_t>(*id) : next++);
+    }
+    return next;
+  }
+  ValueCodes codes;
+  auto code = [&codes](const Value& v) {
+    return codes.try_emplace(&v, static_cast<uint32_t>(codes.size())).first->second;
+  };
+  for (PartColumns& part : *parts) {
+    PartColumn& key = part.keys[g];
+    const SortedDictionary& dict = key.col->main_dictionary();
+    for (uint64_t id = 0; id < dict.size(); ++id) key.main_code.push_back(code(dict.At(id)));
+    for (uint64_t d = 0; d < key.col->delta_dict_size(); ++d) {
+      key.delta_code.push_back(code(key.col->DeltaDictValue(d)));
+    }
+  }
+  return static_cast<uint32_t>(codes.size());
+}
+
+/// Codes column `c` of `rows` (a join side), one hash per row: equal
+/// values share a code, numbered in row order. Returns the code space.
+uint32_t CodeRows(const std::vector<Row>& rows, size_t c, std::vector<uint32_t>* out) {
+  ValueCodes codes;
+  out->reserve(rows.size());
+  for (const Row& row : rows) {
+    out->push_back(codes.try_emplace(&row[c], static_cast<uint32_t>(codes.size())).first->second);
+  }
+  return static_cast<uint32_t>(codes.size());
+}
+
+/// The typed fold over a scan's selection (Executor::ScanSelection): codes
+/// its group keys and decodes its plain-column inputs once per dictionary
+/// entry, charges those tables and the slot index through `charge`, and
+/// folds the selected rows without materializing them.
+template <typename Selection, typename ChargeFn>
+StatusOr<GroupTable> FoldScan(ThreadPool* tp, size_t morsel, const PlanNode& node,
+                              const Selection& sel, const ChargeFn& charge) {
+  size_t width = sel.column_names.size();
+  size_t k = node.group_by.size();
+  std::vector<size_t> inputs = InputCells::Columns(node, width);
+  std::set<size_t> read(node.group_by.begin(), node.group_by.end());
+  for (const AggSpec& agg : node.aggregates) {
+    if (agg.input) agg.input->CollectColumns(&read);
+  }
+  std::vector<PartColumns> parts(sel.parts.size());
+  uint64_t bytes = 0;
+  for (size_t p = 0; p < parts.size(); ++p) {
+    const auto& part = sel.parts[p];
+    for (size_t c : ColumnsBelow(read, width)) {
+      if (c >= part.emit.size()) {
+        return Status::InvalidArgument("aggregate reads column " + sel.column_names[c] +
+                                       ", which partition " + part.table->name() + " lacks");
+      }
+    }
+    for (size_t g : node.group_by) parts[p].keys.emplace_back(&part.guard->col(part.emit[g]));
+    for (size_t c : inputs) {
+      parts[p].inputs.emplace_back(&part.guard->col(part.emit[c]));
+      parts[p].inputs.back().DecodeCells(part.rows.size());
+      bytes += parts[p].inputs.back().MemoryBytes();
+    }
+  }
+  std::vector<uint32_t> spaces;
+  for (size_t g = 0; g < k; ++g) spaces.push_back(CodeScanKey(&parts, g));
+  for (const PartColumns& part : parts) {
+    for (const PartColumn& key : part.keys) bytes += key.MemoryBytes();
+  }
+  POLY_RETURN_IF_ERROR(charge(bytes));
+
+  CodedGroups groups = FoldCoded(
+      tp, morsel, sel.size(), node, spaces, [&](size_t begin, size_t end, const auto& fn) {
+        InputCells cells(node, width);
+        std::vector<uint32_t> codes(k);
+        sel.ForRange(begin, end, [&](const auto& part, uint64_t r) {
+          const PartColumns& cols = parts[static_cast<size_t>(&part - sel.parts.data())];
+          for (size_t g = 0; g < k; ++g) codes[g] = cols.keys[g].Code(r);
+          for (size_t j = 0; j < cells.column.size(); ++j) {
+            cells.column[j] = cols.inputs[j].CellAt(r);
+          }
+          if (!cells.exprs.empty()) {
+            for (size_t c : cells.probe_columns) {
+              cells.probe[c] = part.guard->GetValue(r, part.emit[c]);
+            }
+            cells.Evaluate(node);
+          }
+          fn(codes.data(), cells.agg.data(), [&](size_t g) { return &cols.keys[g].At(r); });
+        });
+      });
+  POLY_RETURN_IF_ERROR(charge(groups.slots.index_bytes()));
+  return ToGroupTable(std::move(groups), k);
+}
+
+/// The typed fold over a hash join's match pairs (Executor::JoinMatches):
+/// codes each group key once per row of the side that carries it, reads
+/// plain-column inputs in place from the side rows, and folds the pairs
+/// without materializing joined rows.
+template <typename Matches, typename ChargeFn>
+StatusOr<GroupTable> FoldJoin(ThreadPool* tp, size_t morsel, const PlanNode& node,
+                              const Matches& join, size_t width, const ChargeFn& charge) {
+  size_t k = node.group_by.size();
+  size_t lw = join.left.num_columns();
+  std::vector<std::vector<uint32_t>> key_codes(k);
+  std::vector<uint32_t> spaces;
+  uint64_t bytes = 0;
+  for (size_t g = 0; g < k; ++g) {
+    size_t c = node.group_by[g];
+    spaces.push_back(c < lw ? CodeRows(join.left.rows, c, &key_codes[g])
+                            : CodeRows(join.right.rows, c - lw, &key_codes[g]));
+    bytes += key_codes[g].size() * sizeof(uint32_t);
+  }
+  POLY_RETURN_IF_ERROR(charge(bytes));
+
+  CodedGroups groups = FoldCoded(
+      tp, morsel, join.pairs.size(), node, spaces,
+      [&](size_t begin, size_t end, const auto& fn) {
+        InputCells cells(node, width);
+        std::vector<uint32_t> codes(k);
+        for (size_t i = begin; i < end; ++i) {
+          auto [li, ri] = join.pairs[i];
+          const Row& l = join.left.rows[li];
+          const Row& r = join.right.rows[ri];
+          auto at = [&](size_t c) -> const Value& { return c < lw ? l[c] : r[c - lw]; };
+          for (size_t g = 0; g < k; ++g) codes[g] = key_codes[g][node.group_by[g] < lw ? li : ri];
+          for (size_t j = 0; j < cells.column.size(); ++j) {
+            cells.column[j] = MakeCell(at(cells.columns[j]));
+          }
+          if (!cells.exprs.empty()) {
+            for (size_t c : cells.probe_columns) cells.probe[c] = at(c);
+            cells.Evaluate(node);
+          }
+          fn(codes.data(), cells.agg.data(), [&](size_t g) { return &at(node.group_by[g]); });
+        }
+      });
+  POLY_RETURN_IF_ERROR(charge(groups.slots.index_bytes()));
+  return ToGroupTable(std::move(groups), k);
 }
 
 /// Hash-join build table: key -> right-row indices in ascending order, so
@@ -265,15 +824,6 @@ void FlattenAnd(const ExprPtr& e, std::vector<ExprPtr>* out) {
   } else {
     out->push_back(e);
   }
-}
-
-/// Indices in `cols` below `width` (a column past the table reads NULL).
-std::vector<size_t> ColumnsBelow(const std::set<size_t>& cols, size_t width) {
-  std::vector<size_t> out;
-  for (size_t c : cols) {
-    if (c < width) out.push_back(c);
-  }
-  return out;
 }
 
 /// A value-id range test on one main-store column, from the conjuncts of
@@ -737,38 +1287,27 @@ Status Executor::MatchJoin(const PlanNode& node, JoinMatches* out) {
 
   // Build side: key -> ascending right-row indices. Parallel build fills
   // per-morsel tables, merged in morsel order so index lists stay sorted.
-  JoinIndex build;
   ThreadPool* tp = pool();
   size_t morsel = morsel_rows();
   size_t rn = right.rows.size();
-  auto build_range = [&right, &node](size_t begin, size_t end, JoinIndex* idx) {
-    for (size_t i = begin; i < end; ++i) {
-      const Value& key = right.rows[i][node.right_key];
-      if (key.is_null()) continue;
-      (*idx)[key].push_back(i);
-    }
-  };
-  if (tp == nullptr || rn <= morsel) {
-    build.reserve(rn);
-    build_range(0, rn, &build);
-  } else {
-    size_t num_morsels = (rn + morsel - 1) / morsel;
-    std::vector<JoinIndex> locals(num_morsels);
-    tp->ParallelFor(
-        num_morsels,
-        [&](size_t m) {
-          size_t begin = m * morsel;
-          build_range(begin, std::min(rn, begin + morsel), &locals[m]);
-        },
-        /*grain=*/1);
-    build.reserve(rn);
-    for (auto& local : locals) {
-      for (auto& [key, idxs] : local) {
-        auto& dst = build[key];
-        dst.insert(dst.end(), idxs.begin(), idxs.end());
-      }
-    }
-  }
+  JoinIndex build;
+  build.reserve(rn);
+  FoldMorsels(
+      tp, morsel, rn, [] { return JoinIndex(); },
+      [&right, &node](size_t begin, size_t end, JoinIndex* idx) {
+        for (size_t i = begin; i < end; ++i) {
+          const Value& key = right.rows[i][node.right_key];
+          if (key.is_null()) continue;
+          (*idx)[key].push_back(i);
+        }
+      },
+      [](const JoinIndex& local, JoinIndex* out) {
+        for (const auto& [key, idxs] : local) {
+          auto& dst = (*out)[key];
+          dst.insert(dst.end(), idxs.begin(), idxs.end());
+        }
+      },
+      &build);
 
   // Build side is internal state no span sees: charge ~3 words per entry
   // (hash slot + index vector element) before probing fans out.
@@ -812,46 +1351,33 @@ StatusOr<ResultSet> Executor::ExecHashJoin(const PlanNode& node) {
 
 StatusOr<ResultSet> Executor::ExecAggregate(const PlanNode& node) {
   const PlanNode& child = *node.children[0];
-  ThreadPool* tp = pool();
-  size_t morsel = morsel_rows();
-  std::vector<size_t> read = AggregateInputColumns(node);
   auto check_keys = [&node](const std::vector<std::string>& in_names) {
     for (size_t g : node.group_by) {
       if (g >= in_names.size()) return Status::InvalidArgument("group key out of range");
     }
     return Status::OK();
   };
+  auto charge = [this](uint64_t bytes) { return ChargeInternal(bytes); };
 
-  // Late materialization: over a scan or a join the aggregate folds the
-  // selection / match pairs, loading only the columns in `read` into one
-  // probe row per morsel. Either way the fold walks its input in the same
-  // morsels as over materialized rows, so the result is identical.
+  // Late materialization: over a scan or a join the aggregate runs the
+  // typed fold on the selection / match pairs, over anything else the
+  // Value fold on materialized rows. Both walk the input in the same
+  // morsels, so the result is identical. The inputs live until the rows
+  // are emitted: group keys and MIN/MAX point into them.
+  ScanSelection sel;
+  JoinMatches join;
+  ResultSet in;
   std::vector<std::string> in_names;
   GroupTable groups;
   if (child.kind == PlanKind::kScan) {
-    ScanSelection sel;
     POLY_RETURN_IF_ERROR(RunOperator(child, [&]() -> StatusOr<Produced> {
       POLY_RETURN_IF_ERROR(SelectScan(child, &sel));
       return Produced{sel.size(), sel.size() * sizeof(uint64_t)};
     }));
     POLY_RETURN_IF_ERROR(check_keys(sel.column_names));
-    size_t width = sel.column_names.size();
-    groups = FoldGroups(tp, morsel, sel.size(), node,
-                        [&](size_t begin, size_t end, const auto& fn) {
-                          Row probe(width);
-                          sel.ForRange(begin, end, [&](const ScanSelection::Part& part,
-                                                       uint64_t r) {
-                            for (size_t c : read) {
-                              if (c < width && c < part.emit.size()) {
-                                probe[c] = part.guard->GetValue(r, part.emit[c]);
-                              }
-                            }
-                            fn(probe);
-                          });
-                        });
-    in_names = std::move(sel.column_names);
+    POLY_ASSIGN_OR_RETURN(groups, FoldScan(pool(), morsel_rows(), node, sel, charge));
+    in_names = sel.column_names;
   } else if (child.kind == PlanKind::kHashJoin) {
-    JoinMatches join;
     POLY_RETURN_IF_ERROR(RunOperator(child, [&]() -> StatusOr<Produced> {
       POLY_RETURN_IF_ERROR(MatchJoin(child, &join));
       return Produced{join.pairs.size(),
@@ -859,32 +1385,13 @@ StatusOr<ResultSet> Executor::ExecAggregate(const PlanNode& node) {
     }));
     in_names = join.column_names();
     POLY_RETURN_IF_ERROR(check_keys(in_names));
-    size_t left_width = join.left.num_columns();
-    size_t width = in_names.size();
-    groups = FoldGroups(tp, morsel, join.pairs.size(), node,
-                        [&](size_t begin, size_t end, const auto& fn) {
-                          Row probe(width);
-                          for (size_t i = begin; i < end; ++i) {
-                            const Row& l = join.left.rows[join.pairs[i].first];
-                            const Row& r = join.right.rows[join.pairs[i].second];
-                            for (size_t c : read) {
-                              if (c < left_width) {
-                                probe[c] = l[c];
-                              } else if (c < width) {
-                                probe[c] = r[c - left_width];
-                              }
-                            }
-                            fn(probe);
-                          }
-                        });
+    POLY_ASSIGN_OR_RETURN(
+        groups, FoldJoin(pool(), morsel_rows(), node, join, in_names.size(), charge));
   } else {
-    POLY_ASSIGN_OR_RETURN(ResultSet in, Exec(child));
+    POLY_ASSIGN_OR_RETURN(in, Exec(child));
     POLY_RETURN_IF_ERROR(check_keys(in.column_names));
-    groups = FoldGroups(tp, morsel, in.rows.size(), node,
-                        [&](size_t begin, size_t end, const auto& fn) {
-                          for (size_t i = begin; i < end; ++i) fn(in.rows[i]);
-                        });
-    in_names = std::move(in.column_names);
+    groups = FoldRows(pool(), morsel_rows(), node, in.rows);
+    in_names = in.column_names;
   }
 
   ResultSet out;
@@ -904,16 +1411,15 @@ StatusOr<ResultSet> Executor::ExecAggregate(const PlanNode& node) {
 
   out.rows.reserve(groups.keys.size());
   for (size_t g = 0; g < groups.keys.size(); ++g) {
-    Row row = groups.keys[g];
-    const std::vector<AggState>& states = groups.states[g];
+    Row row = std::move(groups.keys[g]);
     for (size_t a = 0; a < num_aggs; ++a) {
-      const AggState& st = states[a];
+      const AggState& st = groups.states[g * num_aggs + a];
       switch (node.aggregates[a].func) {
         case AggFunc::kCount:
           row.push_back(Value::Int(static_cast<int64_t>(st.count)));
           break;
         case AggFunc::kSum:
-          if (!st.has_value) {
+          if (st.count == 0) {
             row.push_back(Value::Null());
           } else if (st.all_int) {
             row.push_back(Value::Int(st.sum_int));
@@ -922,10 +1428,8 @@ StatusOr<ResultSet> Executor::ExecAggregate(const PlanNode& node) {
           }
           break;
         case AggFunc::kMin:
-          row.push_back(st.has_value ? st.min : Value::Null());
-          break;
         case AggFunc::kMax:
-          row.push_back(st.has_value ? st.max : Value::Null());
+          row.push_back(st.count ? st.extreme.value() : Value::Null());
           break;
         case AggFunc::kAvg:
           row.push_back(st.count ? Value::Dbl(st.sum / static_cast<double>(st.count))

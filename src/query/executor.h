@@ -44,9 +44,10 @@ bool TryIdRangePredicate(const ColumnTable::ReadGuard& guard, const Expr& pred,
 /// its qualifying rows, testing every `col op literal` conjunct of its
 /// pushed predicate on main-store value ids; rows are materialized only
 /// where an operator's output is rows. An aggregate that reads straight
-/// from a scan or a hash join never materializes its input: it folds the
-/// scan's selection, or the join's (left, right) match pairs, into its
-/// group tables, reading only its group-key and aggregate-input columns
+/// from a scan or a hash join never materializes its input: a typed fold
+/// groups the scan's selection, or the join's (left, right) match pairs,
+/// on integer codes of its group keys and reads its inputs from
+/// per-dictionary tables or in place, copying no Value per row
 /// (DESIGN.md §5).
 ///
 /// With ExecOptions::num_threads > 1 execution is morsel-driven: scans and

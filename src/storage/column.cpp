@@ -77,7 +77,7 @@ ColumnMergeStats Column::Merge(bool hint_generated_order) {
   std::vector<uint64_t> order(st->delta_dict.size());
   for (uint64_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](uint64_t a, uint64_t b) {
-    return st->delta_dict.At(a) < st->delta_dict.At(b);
+    return st->delta_dict.At(a).SortsBefore(st->delta_dict.At(b));
   });
   std::vector<Value> sorted_delta_values;
   sorted_delta_values.reserve(order.size());
@@ -116,7 +116,9 @@ ColumnMergeStats Column::Merge(bool hint_generated_order) {
     stats.dict_entries_moved = sorted_delta_values.size();
   } else {
     // General path: two-way merge of old dictionary and sorted delta values,
-    // then re-encode every existing main ID through the remap table.
+    // then re-encode every existing main ID through the remap table. Values
+    // that tie under operator< but are not == (Int 3, Double 3.0) stay two
+    // entries, in SortsBefore order.
     const std::vector<Value>& old_values = st->main_dict.values();
     std::vector<Value> merged;
     merged.reserve(old_values.size() + sorted_delta_values.size());
@@ -124,20 +126,11 @@ ColumnMergeStats Column::Merge(bool hint_generated_order) {
     std::vector<uint64_t> delta_remap(sorted_delta_values.size());
     size_t i = 0, j = 0;
     while (i < old_values.size() || j < sorted_delta_values.size()) {
-      bool take_old;
-      bool equal = false;
-      if (i >= old_values.size()) {
-        take_old = false;
-      } else if (j >= sorted_delta_values.size()) {
-        take_old = true;
-      } else if (old_values[i] < sorted_delta_values[j]) {
-        take_old = true;
-      } else if (sorted_delta_values[j] < old_values[i]) {
-        take_old = false;
-      } else {
-        take_old = true;
-        equal = true;
-      }
+      bool take_old = j >= sorted_delta_values.size() ||
+                      (i < old_values.size() &&
+                       !sorted_delta_values[j].SortsBefore(old_values[i]));
+      bool equal = take_old && j < sorted_delta_values.size() &&
+                   old_values[i] == sorted_delta_values[j];
       uint64_t new_id = merged.size();
       if (take_old) {
         merged.push_back(old_values[i]);

@@ -8,12 +8,13 @@ namespace poly {
 SortedDictionary::SortedDictionary(std::vector<Value> sorted_distinct)
     : values_(std::move(sorted_distinct)) {
 #ifndef NDEBUG
-  for (size_t i = 1; i < values_.size(); ++i) assert(values_[i - 1] < values_[i]);
+  for (size_t i = 1; i < values_.size(); ++i) assert(values_[i - 1].SortsBefore(values_[i]));
 #endif
 }
 
 std::optional<uint64_t> SortedDictionary::Lookup(const Value& v) const {
-  auto it = std::lower_bound(values_.begin(), values_.end(), v);
+  auto it = std::lower_bound(values_.begin(), values_.end(), v,
+                             [](const Value& a, const Value& b) { return a.SortsBefore(b); });
   if (it != values_.end() && *it == v) {
     return static_cast<uint64_t>(it - values_.begin());
   }

@@ -12,9 +12,10 @@
 namespace poly {
 
 /// Sorted domain dictionary of a main-store column (§III): all distinct
-/// values in sort order; the column itself stores bit-packed indexes
-/// ("value IDs") into this dictionary. Sortedness makes range predicates a
-/// pair of binary searches over value IDs.
+/// values (distinct under Value::operator==) in Value::SortsBefore order;
+/// the column itself stores bit-packed indexes ("value IDs") into this
+/// dictionary. Sortedness makes range predicates a pair of binary searches
+/// over value IDs.
 ///
 /// A SortedDictionary is immutable once its owning column state is
 /// published (merge builds a NEW state rather than mutating in place, see
@@ -25,11 +26,12 @@ class SortedDictionary {
   /// Builds from values that are already sorted and distinct.
   explicit SortedDictionary(std::vector<Value> sorted_distinct);
 
-  /// Value ID of `v` if present.
+  /// Value ID of the entry == `v`, if present (Double 3.0 is not Int 3).
   std::optional<uint64_t> Lookup(const Value& v) const;
-  /// First value ID whose value is >= v (may equal size()).
+  /// First value ID whose value is not < v under Value::operator< (may
+  /// equal size()); a tie such as Int 3 / Double 3.0 counts as equal.
   uint64_t LowerBound(const Value& v) const;
-  /// First value ID whose value is > v (may equal size()).
+  /// First value ID whose value is > v under Value::operator<.
   uint64_t UpperBound(const Value& v) const;
 
   const Value& At(uint64_t id) const { return values_[id]; }

@@ -69,6 +69,13 @@ bool Value::operator<(const Value& o) const {
   return rep_ < o.rep_;
 }
 
+bool Value::SortsBefore(const Value& o) const {
+  // One representation: exact order, which refines operator< (it compares
+  // two int64s through doubles, and rounding to double is monotone).
+  if (rep_.index() == o.rep_.index()) return rep_ < o.rep_;
+  return *this < o || (!(o < *this) && rep_.index() < o.rep_.index());
+}
+
 std::string Value::ToString() const {
   switch (rep_.index()) {
     case 0: return "NULL";

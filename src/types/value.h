@@ -68,9 +68,16 @@ class Value {
 
   bool operator==(const Value& o) const;
   bool operator!=(const Value& o) const { return !(*this == o); }
-  /// Total order used for sorting/dictionaries. Nulls sort first; values of
-  /// different types order by type tag.
+  /// Order used for sorting and range predicates. Nulls sort first; values
+  /// of different types order by type tag, except that int64 and double
+  /// compare numerically, so Int 3 and Double 3.0 tie without being equal.
   bool operator<(const Value& o) const;
+  /// Dictionary order: operator<, with ties broken by representation (Int 3
+  /// before Double 3.0) and then exactly (two int64s past 2^53 that compare
+  /// as one double). Neither sorting before the other means operator==, so
+  /// a dictionary keeps one entry per distinct value; tied values stay
+  /// contiguous, so operator< range searches still work on it.
+  bool SortsBefore(const Value& o) const;
 
   std::string ToString() const;
   uint64_t Hash() const;

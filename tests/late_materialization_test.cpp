@@ -71,15 +71,29 @@ struct Outcome {
 
 class FoldParallelOracle : public ::testing::TestWithParam<int> {
  protected:
-  /// t(a INT, s STRING, m INT/DOUBLE mix, c DOUBLE) with NULLs in a, s and
-  /// m, loaded in batches that are merged or left in delta, with committed
-  /// deletes; t2 is a second partition of t; d(k, label) joins on a = k.
+  /// t(a INT, s STRING, m INT/DOUBLE mix, c DOUBLE, w INT, big INT) with
+  /// NULLs in a, s, m and w, loaded in batches that are merged or left in
+  /// delta, with committed deletes; t2 is a second partition of t; d(k,
+  /// label) joins on a = k. w has more distinct values than either morsel
+  /// size, so its groups take the hashed slot index; big sits near
+  /// INT64_MAX / 4, so a few rows overflow an int64 sum. w and big come
+  /// from their own stream, leaving the other columns' data unchanged.
   void Load(Random* rng) {
     Schema schema({ColumnDef("a", DataType::kInt64), ColumnDef("s", DataType::kString),
-                   ColumnDef("m", DataType::kDouble), ColumnDef("c", DataType::kDouble)});
+                   ColumnDef("m", DataType::kDouble), ColumnDef("c", DataType::kDouble),
+                   ColumnDef("w", DataType::kInt64), ColumnDef("big", DataType::kInt64)});
     ColumnTable* t = *db_.CreateTable("t", schema);
     ColumnTable* t2 = *db_.CreateTable("t2", schema);
+    Random wide(Random::Mix(static_cast<uint64_t>(GetParam()), 17));
     auto value = [&](int col) -> Value {
+      if (col == 4) {
+        return wide.Bernoulli(0.05) ? Value::Null()
+                                    : Value::Int(static_cast<int64_t>(wide.Uniform(300)));
+      }
+      if (col == 5) {
+        int64_t sign = wide.Bernoulli(0.2) ? -1 : 1;
+        return Value::Int(sign * (INT64_MAX / 4 - static_cast<int64_t>(wide.Uniform(1000))));
+      }
       if (col < 3 && rng->Bernoulli(0.05)) return Value::Null();
       int64_t k = static_cast<int64_t>(rng->Uniform(20));
       switch (col) {
@@ -98,8 +112,9 @@ class FoldParallelOracle : public ::testing::TestWithParam<int> {
     auto insert = [&](ColumnTable* table, int rows) {
       auto txn = tm_.Begin();
       for (int i = 0; i < rows; ++i) {
-        ASSERT_TRUE(
-            tm_.Insert(txn.get(), table, {value(0), value(1), value(2), value(3)}).ok());
+        ASSERT_TRUE(tm_.Insert(txn.get(), table,
+                               {value(0), value(1), value(2), value(3), value(4), value(5)})
+                        .ok());
       }
       ASSERT_TRUE(tm_.Commit(txn.get()).ok());
     };
@@ -173,14 +188,15 @@ class FoldParallelOracle : public ::testing::TestWithParam<int> {
   }
 
   /// The shapes SQL does not produce: DISTINCT straight over its scan (SQL
-  /// puts a Project in between), a partial/final pair, and an aggregate
-  /// over a two-partition scan.
+  /// puts a Project in between), a partial/final pair, and aggregates over
+  /// a two-partition scan (one Value -> code map across both parts).
   std::vector<PlanPtr> HandBuilt(const std::string& pred) {
     std::vector<AggSpec> aggs = {{AggFunc::kCount, nullptr, "n"},
                                  {AggFunc::kSum, Expr::Column(3), "sc"},
                                  {AggFunc::kAvg, Expr::Column(2), "am"},
                                  {AggFunc::kMin, Expr::Column(0), "lo"},
-                                 {AggFunc::kMax, Expr::Column(1), "hi"}};
+                                 {AggFunc::kMax, Expr::Column(1), "hi"},
+                                 {AggFunc::kSum, Expr::Column(5), "sb"}};
     std::vector<PlanPtr> plans;
     plans.push_back(PlanBuilder::From(ScanT(pred)).Aggregate({1, 0}, {}).Build());
     plans.push_back(PlanBuilder::From(ScanT(pred))
@@ -192,6 +208,9 @@ class FoldParallelOracle : public ::testing::TestWithParam<int> {
     parts->scan_partitions = {"t", "t2"};
     plans.push_back(PlanBuilder::From(parts)
                         .Aggregate({0}, {aggs[0], aggs[1], aggs[4]})
+                        .Build());
+    plans.push_back(PlanBuilder::From(parts)
+                        .Aggregate({4, 2}, {aggs[0], aggs[3], aggs[5]})
                         .Build());
     return plans;
   }
@@ -241,7 +260,7 @@ class FoldParallelOracle : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(FoldParallelOracle, FoldEqualsAggregateOverMaterializedInput) {
-  // 8 seeds x 4 trials x 8 plans, each at 6 (threads, morsel) settings.
+  // 8 seeds x 4 trials x 13 plans, each at 6 (threads, morsel) settings.
   // Every failure message carries seed + trial + SQL for reproduction.
   Random rng(static_cast<uint64_t>(GetParam()) * 104729);
   Load(&rng);
@@ -257,7 +276,15 @@ TEST_P(FoldParallelOracle, FoldEqualsAggregateOverMaterializedInput) {
                  " GROUP BY s HAVING COUNT(*) > 1 AND MAX(c) > 20",
              "SELECT label, COUNT(*) AS n, SUM(c) AS sc, MIN(m) AS lo FROM t "
              "JOIN d ON a = k WHERE " + pred + " GROUP BY label",
-             "SELECT COUNT(*) AS n, AVG(m) AS av FROM t JOIN d ON a = k WHERE " + pred}) {
+             "SELECT COUNT(*) AS n, AVG(m) AS av FROM t JOIN d ON a = k WHERE " + pred,
+             "SELECT m, COUNT(*) AS n, SUM(a) AS sa, MIN(c) AS lo, MAX(m) AS hi FROM t "
+             "WHERE " + pred + " GROUP BY m",
+             "SELECT w, COUNT(*) AS n, SUM(big) AS sb, MAX(s) AS hi FROM t WHERE " + pred +
+                 " GROUP BY w",
+             "SELECT s, COUNT(*) AS n, SUM(big) AS sb, MIN(label) AS lo FROM t JOIN d ON a = k "
+             "WHERE " + pred + " GROUP BY s",
+             "SELECT label, m, COUNT(*) AS n, SUM(big) AS sb, MAX(w) AS hi FROM t "
+             "JOIN d ON a = k WHERE " + pred + " GROUP BY label, m"}) {
       Check(Sql(sql), ctx + " | " + sql);
     }
     for (const PlanPtr& plan : HandBuilt(pred)) Check(plan, ctx + " | hand-built");
@@ -277,6 +304,140 @@ TEST_P(FoldParallelOracle, FoldEqualsAggregateOverMaterializedInput) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FoldParallelOracle, ::testing::Range(1, 9));
+
+// A merge changes where values live, never what they are: seeded batches
+// of Int k, Double k and Double k + 0.5 in one DOUBLE column read back the
+// same values, with the same types, and group into the same groups before
+// and after each merge (Int 3 and Double 3.0 are two groups).
+TEST(MergeOracle, MixedIntDoubleValuesAndGroupsSurviveEachMerge) {
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Database db;
+    TransactionManager tm;
+    ColumnTable* t = *db.CreateTable("t", Schema({ColumnDef("m", DataType::kDouble)}));
+    Random rng(seed);
+    auto run = [&](const std::string& sql) {
+      auto rs = db.Execute(sql);
+      EXPECT_TRUE(rs.ok()) << sql << ": " << rs.status().ToString();
+      return rs.ok() ? rs->rows : std::vector<Row>{};
+    };
+    auto types = [](const std::vector<Row>& rows) {
+      std::vector<DataType> out;
+      for (const Row& row : rows) out.push_back(row[0].type());
+      return out;
+    };
+    for (int batch = 0; batch < 4; ++batch) {
+      auto txn = tm.Begin();
+      for (int i = 0; i < 40; ++i) {
+        auto k = static_cast<int64_t>(rng.Uniform(6));
+        Value v = rng.Bernoulli(0.5) ? Value::Int(k)
+                                     : Value::Dbl(static_cast<double>(k) +
+                                                  (rng.Bernoulli(0.5) ? 0.5 : 0.0));
+        ASSERT_TRUE(tm.Insert(txn.get(), t, {v}).ok());
+      }
+      ASSERT_TRUE(tm.Commit(txn.get()).ok());
+      std::vector<Row> values = run("SELECT m FROM t");
+      std::vector<Row> groups = run("SELECT m, COUNT(*) AS n FROM t GROUP BY m");
+      t->Merge();
+      std::string ctx = "seed=" + std::to_string(seed) + " batch=" + std::to_string(batch);
+      EXPECT_EQ(run("SELECT m FROM t"), values) << ctx;
+      EXPECT_EQ(types(run("SELECT m FROM t")), types(values)) << ctx;
+      std::vector<Row> merged = run("SELECT m, COUNT(*) AS n FROM t GROUP BY m");
+      EXPECT_EQ(merged, groups) << ctx;
+      EXPECT_EQ(types(merged), types(groups)) << ctx;
+    }
+  }
+}
+
+// SUM over BIGINTs keeps an exact int64 sum until an add overflows, then
+// returns the double sum, as mixed INT/DOUBLE input does. The rule holds in
+// the fold, in the morsel merge and from partial to final aggregate, so
+// local and distributed SUM agree.
+TEST(AggregateSumTest, BigintOverflowReturnsTheDoubleSum) {
+  Database db;
+  TransactionManager tm;
+  ColumnTable* t = *db.CreateTable("t", Schema({ColumnDef("x", DataType::kInt64)}));
+  auto txn = tm.Begin();
+  ASSERT_TRUE(tm.Insert(txn.get(), t, {Value::Int(INT64_MAX)}).ok());
+  ASSERT_TRUE(tm.Insert(txn.get(), t, {Value::Int(1)}).ok());
+  ASSERT_TRUE(tm.Commit(txn.get()).ok());
+  const Value expected = Value::Dbl(9.223372036854775808e18);
+
+  auto local = db.Execute("SELECT SUM(x) AS s FROM t");
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  EXPECT_EQ(local->rows, (std::vector<Row>{{expected}}));
+
+  std::vector<AggSpec> sum = {{AggFunc::kSum, Expr::Column(0), "s"}};
+  std::vector<PlanPtr> plans = {
+      PlanBuilder::Scan("t").Aggregate({}, sum).Build(),
+      PlanBuilder::Scan("t").Exchange(ExchangeMode::kGather).Aggregate({}, sum).Build(),
+      PlanBuilder::Scan("t")
+          .PartialAggregate({}, sum)
+          .Exchange(ExchangeMode::kGather)
+          .FinalAggregate({}, sum)
+          .Build()};
+  // One row per morsel: every add that overflows happens in the merge.
+  ExecOptions one_row_morsels;
+  one_row_morsels.num_threads = 2;
+  one_row_morsels.morsel_rows = 1;
+  for (const ExecOptions& opts : {ExecOptions(), one_row_morsels}) {
+    for (const PlanPtr& plan : plans) {
+      Executor exec(&db, tm.AutoCommitView(), opts);
+      auto rs = exec.Execute(plan);
+      ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+      EXPECT_EQ(rs->rows, (std::vector<Row>{{expected}}))
+          << plan->ToString() << " morsel_rows=" << opts.morsel_rows;
+    }
+  }
+
+  // Partial to final: two exact BIGINT partials whose sum overflows.
+  auto partials = std::make_shared<ResultSet>();
+  partials->column_names = {"s"};
+  partials->rows = {{Value::Int(INT64_MAX)}, {Value::Int(1)}};
+  Executor exec(&db, tm.AutoCommitView());
+  auto final_sum =
+      exec.Execute(PlanBuilder::Rows("partials", partials).FinalAggregate({}, sum).Build());
+  ASSERT_TRUE(final_sum.ok()) << final_sum.status().ToString();
+  EXPECT_EQ(final_sum->rows, (std::vector<Row>{{expected}}));
+}
+
+// MIN and MAX replace their value only when strictly better, so of two
+// inputs that tie under Value::operator< (Int 3, Double 3.0) the first one
+// in input order wins, in the fold, in the morsel merge, and over
+// materialized rows alike.
+TEST(AggregateTieTest, MinMaxKeepTheFirstOccurrenceOfATie) {
+  for (bool int_first : {true, false}) {
+    Database db;
+    TransactionManager tm;
+    ColumnTable* t = *db.CreateTable("t", Schema({ColumnDef("m", DataType::kDouble)}));
+    auto txn = tm.Begin();
+    Value first = int_first ? Value::Int(3) : Value::Dbl(3.0);
+    Value second = int_first ? Value::Dbl(3.0) : Value::Int(3);
+    for (const Value& v : {Value::Dbl(4.5), first, second, Value::Dbl(4.5)}) {
+      ASSERT_TRUE(tm.Insert(txn.get(), t, {v}).ok());
+    }
+    ASSERT_TRUE(tm.Commit(txn.get()).ok());
+    std::vector<AggSpec> aggs = {{AggFunc::kMin, Expr::Column(0), "lo"},
+                                 {AggFunc::kMax, Expr::Column(0), "hi"}};
+    ExecOptions one_row_morsels;
+    one_row_morsels.num_threads = 2;
+    one_row_morsels.morsel_rows = 1;
+    for (bool merged : {false, true}) {
+      if (merged) t->Merge();
+      for (const ExecOptions& opts : {ExecOptions(), one_row_morsels}) {
+        for (const PlanPtr& plan :
+             {PlanBuilder::Scan("t").Aggregate({}, aggs).Build(),
+              PlanBuilder::Scan("t").Exchange(ExchangeMode::kGather).Aggregate({}, aggs).Build()}) {
+          Executor exec(&db, tm.AutoCommitView(), opts);
+          auto rs = exec.Execute(plan);
+          ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+          ASSERT_EQ(rs->rows.size(), 1u);
+          EXPECT_EQ(rs->rows[0][0], first) << plan->ToString() << " merged=" << merged;
+          EXPECT_EQ(rs->rows[0][1], Value::Dbl(4.5)) << plan->ToString();
+        }
+      }
+    }
+  }
+}
 
 // The mid-merge state a concurrent reader can pin: Merge republishes one
 // column at a time, so column 0 may already be merged while the column an

@@ -120,6 +120,41 @@ TEST(ColumnTest, SecondMergeMixedValuesRemapsIds) {
   }
 }
 
+// Int 3 and Double 3.0 tie under Value::operator< but are different values
+// (and different group keys). A merge keeps both, in a fixed order whatever
+// order they arrived in, and Lookup finds each one; range bounds still
+// cover the whole tie. Two int64s past 2^53 that compare as one double
+// stay apart too.
+TEST(ColumnTest, MergeKeepsValuesThatTieButDiffer) {
+  const int64_t big = (int64_t{1} << 53) + 1;
+  for (bool int_first : {true, false}) {
+    Column col;
+    std::vector<Value> rows = {Value::Int(3), Value::Dbl(3.0), Value::Int(big),
+                               Value::Int(big - 1), Value::Dbl(2.5)};
+    if (!int_first) std::swap(rows[0], rows[1]);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      col.Append(rows[i]);
+      if (i == 0 || i == 2) col.Merge();  // a main part, then the general merge path
+    }
+    col.Merge();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(col.Get(i), rows[i]) << "row " << i;
+      EXPECT_EQ(col.Get(i).type(), rows[i].type()) << "row " << i;
+    }
+    const SortedDictionary& dict = col.main_dictionary();
+    ASSERT_EQ(dict.size(), 5u);
+    EXPECT_EQ(dict.At(1).type(), DataType::kInt64);  // the tie breaks by type
+    EXPECT_EQ(dict.At(2).type(), DataType::kDouble);
+    EXPECT_EQ(dict.At(3), Value::Int(big - 1));
+    EXPECT_EQ(dict.At(4), Value::Int(big));
+    EXPECT_EQ(*dict.Lookup(Value::Int(3)), 1u);
+    EXPECT_EQ(*dict.Lookup(Value::Dbl(3.0)), 2u);
+    EXPECT_EQ(*dict.Lookup(Value::Int(big)), 4u);
+    EXPECT_EQ(dict.LowerBound(Value::Int(3)), 1u);
+    EXPECT_EQ(dict.UpperBound(Value::Dbl(3.0)), 3u);
+  }
+}
+
 TEST(ColumnTest, GeneratedOrderFastPathSkipsReencode) {
   Column col;
   for (int v = 0; v < 100; ++v) col.Append(Value::Int(v));
