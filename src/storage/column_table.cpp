@@ -1,5 +1,9 @@
 #include "storage/column_table.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/metrics.h"
 #include "types/value_serde.h"
 
@@ -184,6 +188,14 @@ Status ColumnTable::AddColumn(ColumnDef def) {
 }
 
 TableMergeStats ColumnTable::Merge() {
+#if defined(__GLIBC__)
+  // Each column's new main is built beside the old one. Free heap pages go
+  // back to the kernel first, so the new mains land on top of live data
+  // only. Otherwise they may or may not fit the free memory the heap holds,
+  // which depends on which thread merged last and when the old mains were
+  // reclaimed, and a merge's peak footprint varies from run to run.
+  malloc_trim(0);
+#endif
   TableState* st = state_.load(std::memory_order_relaxed);
   TableMergeStats stats;
   for (size_t c = 0; c < st->cols.size(); ++c) {
