@@ -188,15 +188,17 @@ Status ColumnTable::AddColumn(ColumnDef def) {
 }
 
 TableMergeStats ColumnTable::Merge() {
-#if defined(__GLIBC__)
-  // Each column's new main is built beside the old one. Free heap pages go
-  // back to the kernel first, so the new mains land on top of live data
-  // only. Otherwise they may or may not fit the free memory the heap holds,
-  // which depends on which thread merged last and when the old mains were
-  // reclaimed, and a merge's peak footprint varies from run to run.
-  malloc_trim(0);
-#endif
   TableState* st = state_.load(std::memory_order_relaxed);
+#if defined(__GLIBC__)
+  // A merge that replaces a main builds each column's new main beside the
+  // old one. Free heap pages go back to the kernel first, so the new mains
+  // land on top of live data only. Otherwise they may or may not fit the
+  // free memory the heap holds, which depends on which thread merged last
+  // and when the old mains were reclaimed, and a merge's peak footprint
+  // varies from run to run. A first merge replaces nothing; trimming there
+  // would only make a bulk load fault its pages back in.
+  if (!st->cols.empty() && st->cols[0]->main_size() > 0) malloc_trim(0);
+#endif
   TableMergeStats stats;
   for (size_t c = 0; c < st->cols.size(); ++c) {
     stats.rows_moved = std::max(stats.rows_moved, st->cols[c]->delta_size());
