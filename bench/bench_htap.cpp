@@ -10,6 +10,8 @@
 //                                        column-OLAP pipeline (the baseline
 //                                        the paper retires)
 //   HTAP_SingleSystem_Mixed            - same mixed load on one column store
+//   HTAP_Parallel{Scan,Aggregate,JoinAggregate}/threads - E19's morsel
+//                                        parallelism over 1M orders
 // Expected shape: column OLAP >> row OLAP; single system avoids the
 // replication cost entirely and serves fresh data.
 
@@ -181,6 +183,18 @@ struct ParallelFixture {
   TransactionManager tm;
   ParallelFixture() {
     bench::LoadOrders(&db, &tm, "orders", 1000000);
+    // customers(c_id, c_segment): one row per customer id orders draw.
+    static const char* kSegments[] = {"auto", "building", "furniture", "household",
+                                      "machinery"};
+    ColumnTable* customers = *db.CreateTable(
+        "customers", Schema({ColumnDef("c_id", DataType::kInt64),
+                             ColumnDef("c_segment", DataType::kString)}));
+    auto txn = tm.Begin();
+    for (int64_t id = 0; id < 10000; ++id) {
+      (void)tm.Insert(txn.get(), customers, {Value::Int(id), Value::Str(kSegments[id % 5])});
+    }
+    (void)tm.Commit(txn.get());
+    customers->Merge();
   }
   static ParallelFixture& Get() {
     static ParallelFixture f;
@@ -222,6 +236,31 @@ void HTAP_ParallelAggregate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000000);
 }
 BENCHMARK(HTAP_ParallelAggregate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+// orders ⋈ customers ON customer = c_id, GROUP BY c_segment: the join reads
+// both scans in place (the probe looks up each customer id once, not each
+// order) and the aggregate folds the match pairs.
+void HTAP_ParallelJoinAggregate(benchmark::State& state) {
+  ParallelFixture& f = ParallelFixture::Get();
+  ExecOptions opts;
+  opts.num_threads = static_cast<size_t>(state.range(0));
+  opts.morsel_rows = 65536;
+  AggSpec cnt{AggFunc::kCount, nullptr, "cnt"};
+  AggSpec sum{AggFunc::kSum, Expr::Column(3), "revenue"};
+  PlanPtr plan = PlanBuilder::Scan("orders")
+                     .HashJoin(PlanBuilder::Scan("customers").Build(), /*left_key=*/1,
+                               /*right_key=*/0)
+                     .Aggregate({7}, {cnt, sum})
+                     .Build();
+  for (auto _ : state) {
+    Executor exec(&f.db, f.tm.AutoCommitView(), opts);
+    auto rs = exec.Execute(plan);
+    benchmark::DoNotOptimize(rs->num_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * 1000000);
+}
+BENCHMARK(HTAP_ParallelJoinAggregate)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -19,7 +19,10 @@ again with other workloads adds them to the same BENCH file.
 BENCH_<label>.json records, per workload: each side's perfbench `# context`
 line, every metric's median and quartiles per side, for metrics that
 BENCHMARK.json gives a direction the number of pairs the change won, the
-seeds, and the attempted, failed and correct counts of every run.
+seeds, and the attempted, failed and correct counts of every run. Under
+"printed_metrics" it keeps every `metric <name> <value> <unit>` line a run
+printed, also those its JSON result leaves out (the per-shape latencies
+such as query_p50_ms.join_groupby), as per-side medians and quartiles.
 """
 
 import argparse
@@ -60,7 +63,8 @@ def git(*args, cwd=ROOT):
 
 
 def run_side(src, build_dir, workload, seed, args):
-    """One perfbench run from checkout `src`: its context line and result."""
+    """One perfbench run from checkout `src`: its context line, its result,
+    and the metric lines it printed as {name: (value, unit)}."""
     cmd = [sys.executable, RUN_PY, "--workload", workload, "--seed", str(seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace),
            "--scale", str(args.scale)]
@@ -71,11 +75,18 @@ def run_side(src, build_dir, workload, seed, args):
         sys.stderr.write(proc.stderr)
         fail("%s seed %d in %s exited with code %d" % (workload, seed, src, proc.returncode))
     context = None
+    printed = {}
     for line in lines:
         if line.startswith("# context "):
             context = json.loads(line[len("# context "):])
+        fields = line.split()
+        if len(fields) == 4 and fields[0] == "metric":
+            try:
+                printed[fields[1]] = (float(fields[2]), fields[3])
+            except ValueError:
+                pass
     result = json.loads(lines[-1])
-    return context, result
+    return context, result, printed
 
 
 def summary(values):
@@ -139,6 +150,7 @@ def main():
     try:
         for workload in args.workload:
             runs = {"parent": [], "change": []}
+            printed = {"parent": [], "change": []}
             contexts = {}
             pairs = []
             for i in range(args.pairs):
@@ -147,9 +159,10 @@ def main():
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     src, build_dir = sides[side]
-                    context, result = run_side(src, build_dir, workload, seed, args)
+                    context, result, lines = run_side(src, build_dir, workload, seed, args)
                     contexts.setdefault(side, context)
                     runs[side].append(result)
+                    printed[side].append(lines)
                     pair[side] = {name: m["value"] for name, m in result["metrics"].items()}
                     print("%s pair %d seed %d %s: ops_per_s %s, failed %d, correct %s" % (
                         workload, i + 1, seed, side,
@@ -171,6 +184,13 @@ def main():
                         if name in p["parent"] and name in p["change"]
                         and sign * (p["change"][name] - p["parent"][name]) > 0)
                 metrics[name] = entry
+            printed_metrics = {}
+            for name, (_, unit) in printed["change"][0].items():
+                printed_metrics[name] = {"unit": unit}
+                for side in ("parent", "change"):
+                    values = [lines[name][0] for lines in printed[side] if name in lines]
+                    if values:
+                        printed_metrics[name][side] = summary(values)
             report["workloads"][workload] = {
                 "seconds": args.seconds, "trace": args.trace, "scale": args.scale,
                 "seeds": [p["seed"] for p in pairs],
@@ -179,6 +199,7 @@ def main():
                                  "correct": r["correct"]} for r in runs[side]]
                          for side in runs},
                 "metrics": metrics,
+                "printed_metrics": printed_metrics,
                 "pairs": pairs,
             }
     finally:

@@ -148,10 +148,6 @@ struct RowKeyHash {
   }
 };
 
-struct ValueHash {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-
 /// Value -> code map over values that stay in place (dictionary entries, a
 /// join side's cells): keys are pointers, so numbering copies no Value.
 struct ValuePtrHash {
@@ -656,25 +652,23 @@ struct PartColumn {
   }
 };
 
-/// A scanned part's group-key and aggregate-input columns.
-struct PartColumns {
-  std::vector<PartColumn> keys, inputs;
-};
+/// One column of a scan selection: a PartColumn per part.
+using ScanColumn = std::vector<PartColumn>;
 
-/// Codes group key `g` of every part, once per dictionary entry, and
+/// Codes group key `key` in every part, once per dictionary entry, and
 /// returns the code space. One part: its main value ids, and each delta
 /// entry folded onto the main id of an equal value or numbered after the
 /// main dictionary. Several parts: one Value -> code map over them all.
-uint32_t CodeScanKey(std::vector<PartColumns>* parts, size_t g) {
-  if (parts->size() == 1) {
-    PartColumn& key = parts->front().keys[g];
-    const SortedDictionary& dict = key.col->main_dictionary();
-    key.main_code.resize(dict.size());
-    std::iota(key.main_code.begin(), key.main_code.end(), 0u);
+uint32_t CodeScanKey(ScanColumn* key) {
+  if (key->size() == 1) {
+    PartColumn& col = key->front();
+    const SortedDictionary& dict = col.col->main_dictionary();
+    col.main_code.resize(dict.size());
+    std::iota(col.main_code.begin(), col.main_code.end(), 0u);
     auto next = static_cast<uint32_t>(dict.size());
-    for (uint64_t d = 0; d < key.col->delta_dict_size(); ++d) {
-      std::optional<uint64_t> id = dict.Lookup(key.col->DeltaDictValue(d));
-      key.delta_code.push_back(id ? static_cast<uint32_t>(*id) : next++);
+    for (uint64_t d = 0; d < col.col->delta_dict_size(); ++d) {
+      std::optional<uint64_t> id = dict.Lookup(col.col->DeltaDictValue(d));
+      col.delta_code.push_back(id ? static_cast<uint32_t>(*id) : next++);
     }
     return next;
   }
@@ -682,18 +676,62 @@ uint32_t CodeScanKey(std::vector<PartColumns>* parts, size_t g) {
   auto code = [&codes](const Value& v) {
     return codes.try_emplace(&v, static_cast<uint32_t>(codes.size())).first->second;
   };
-  for (PartColumns& part : *parts) {
-    PartColumn& key = part.keys[g];
-    const SortedDictionary& dict = key.col->main_dictionary();
-    for (uint64_t id = 0; id < dict.size(); ++id) key.main_code.push_back(code(dict.At(id)));
-    for (uint64_t d = 0; d < key.col->delta_dict_size(); ++d) {
-      key.delta_code.push_back(code(key.col->DeltaDictValue(d)));
+  for (PartColumn& col : *key) {
+    const SortedDictionary& dict = col.col->main_dictionary();
+    for (uint64_t id = 0; id < dict.size(); ++id) col.main_code.push_back(code(dict.At(id)));
+    for (uint64_t d = 0; d < col.col->delta_dict_size(); ++d) {
+      col.delta_code.push_back(code(col.col->DeltaDictValue(d)));
     }
   }
   return static_cast<uint32_t>(codes.size());
 }
 
-/// Codes column `c` of `rows` (a join side), one hash per row: equal
+/// Fails unless every part of `sel` emits each column in `cols` (a
+/// partition may lack a column the first one has).
+template <typename Selection>
+Status CheckParts(const Selection& sel, const std::vector<size_t>& cols, const char* reader) {
+  for (const auto& part : sel.parts) {
+    for (size_t c : cols) {
+      if (c >= part.emit.size()) {
+        return Status::InvalidArgument(std::string(reader) + " reads column " +
+                                       sel.column_names[c] + ", which partition " +
+                                       part.table->name() + " lacks");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+/// Output column `c` of `sel`, opened in every part.
+template <typename Selection>
+ScanColumn OpenColumn(const Selection& sel, size_t c) {
+  ScanColumn col;
+  for (const auto& part : sel.parts) col.emplace_back(&part.guard->col(part.emit[c]));
+  return col;
+}
+
+/// Decodes the cell tables of aggregate input `col` (see PartColumn) and
+/// returns the bytes they hold.
+template <typename Selection>
+uint64_t DecodeInput(const Selection& sel, ScanColumn* col) {
+  uint64_t bytes = 0;
+  for (size_t p = 0; p < col->size(); ++p) {
+    (*col)[p].DecodeCells(sel.parts[p].rows.size());
+    bytes += (*col)[p].MemoryBytes();
+  }
+  return bytes;
+}
+
+/// The columns of `node`'s group keys and aggregate inputs below `width`.
+std::vector<size_t> ColumnsRead(const PlanNode& node, size_t width) {
+  std::set<size_t> read(node.group_by.begin(), node.group_by.end());
+  for (const AggSpec& agg : node.aggregates) {
+    if (agg.input) agg.input->CollectColumns(&read);
+  }
+  return ColumnsBelow(read, width);
+}
+
+/// Codes column `c` of `rows` (a row join side), one hash per row: equal
 /// values share a code, numbered in row order. Returns the code space.
 uint32_t CodeRows(const std::vector<Row>& rows, size_t c, std::vector<uint32_t>* out) {
   ValueCodes codes;
@@ -713,32 +751,18 @@ StatusOr<GroupTable> FoldScan(ThreadPool* tp, size_t morsel, const PlanNode& nod
                               const Selection& sel, const ChargeFn& charge) {
   size_t width = sel.column_names.size();
   size_t k = node.group_by.size();
-  std::vector<size_t> inputs = InputCells::Columns(node, width);
-  std::set<size_t> read(node.group_by.begin(), node.group_by.end());
-  for (const AggSpec& agg : node.aggregates) {
-    if (agg.input) agg.input->CollectColumns(&read);
-  }
-  std::vector<PartColumns> parts(sel.parts.size());
+  POLY_RETURN_IF_ERROR(CheckParts(sel, ColumnsRead(node, width), "aggregate"));
   uint64_t bytes = 0;
-  for (size_t p = 0; p < parts.size(); ++p) {
-    const auto& part = sel.parts[p];
-    for (size_t c : ColumnsBelow(read, width)) {
-      if (c >= part.emit.size()) {
-        return Status::InvalidArgument("aggregate reads column " + sel.column_names[c] +
-                                       ", which partition " + part.table->name() + " lacks");
-      }
-    }
-    for (size_t g : node.group_by) parts[p].keys.emplace_back(&part.guard->col(part.emit[g]));
-    for (size_t c : inputs) {
-      parts[p].inputs.emplace_back(&part.guard->col(part.emit[c]));
-      parts[p].inputs.back().DecodeCells(part.rows.size());
-      bytes += parts[p].inputs.back().MemoryBytes();
-    }
-  }
+  std::vector<ScanColumn> keys, inputs;
   std::vector<uint32_t> spaces;
-  for (size_t g = 0; g < k; ++g) spaces.push_back(CodeScanKey(&parts, g));
-  for (const PartColumns& part : parts) {
-    for (const PartColumn& key : part.keys) bytes += key.MemoryBytes();
+  for (size_t g : node.group_by) {
+    keys.push_back(OpenColumn(sel, g));
+    spaces.push_back(CodeScanKey(&keys.back()));
+    for (const PartColumn& col : keys.back()) bytes += col.MemoryBytes();
+  }
+  for (size_t c : InputCells::Columns(node, width)) {
+    inputs.push_back(OpenColumn(sel, c));
+    bytes += DecodeInput(sel, &inputs.back());
   }
   POLY_RETURN_IF_ERROR(charge(bytes));
 
@@ -747,41 +771,72 @@ StatusOr<GroupTable> FoldScan(ThreadPool* tp, size_t morsel, const PlanNode& nod
         InputCells cells(node, width);
         std::vector<uint32_t> codes(k);
         sel.ForRange(begin, end, [&](const auto& part, uint64_t r) {
-          const PartColumns& cols = parts[static_cast<size_t>(&part - sel.parts.data())];
-          for (size_t g = 0; g < k; ++g) codes[g] = cols.keys[g].Code(r);
-          for (size_t j = 0; j < cells.column.size(); ++j) {
-            cells.column[j] = cols.inputs[j].CellAt(r);
-          }
+          auto p = static_cast<size_t>(&part - sel.parts.data());
+          for (size_t g = 0; g < k; ++g) codes[g] = keys[g][p].Code(r);
+          for (size_t j = 0; j < cells.column.size(); ++j) cells.column[j] = inputs[j][p].CellAt(r);
           if (!cells.exprs.empty()) {
             for (size_t c : cells.probe_columns) {
               cells.probe[c] = part.guard->GetValue(r, part.emit[c]);
             }
             cells.Evaluate(node);
           }
-          fn(codes.data(), cells.agg.data(), [&](size_t g) { return &cols.keys[g].At(r); });
+          fn(codes.data(), cells.agg.data(), [&](size_t g) { return &keys[g][p].At(r); });
         });
       });
   POLY_RETURN_IF_ERROR(charge(groups.slots.index_bytes()));
   return ToGroupTable(std::move(groups), k);
 }
 
-/// The typed fold over a hash join's match pairs (Executor::JoinMatches):
-/// codes each group key once per row of the side that carries it, reads
-/// plain-column inputs in place from the side rows, and folds the pairs
-/// without materializing joined rows.
-template <typename Matches, typename ChargeFn>
+/// The typed fold over a hash join's match pairs (Executor::JoinMatches),
+/// reading both sides in place: a group key is coded once per dictionary
+/// entry on a scan side and once per row on a row side, and a plain-column
+/// input is read through a scan side's cell tables or from a row side's
+/// cell. No joined row is materialized.
+template <typename Join, typename ChargeFn>
 StatusOr<GroupTable> FoldJoin(ThreadPool* tp, size_t morsel, const PlanNode& node,
-                              const Matches& join, size_t width, const ChargeFn& charge) {
+                              const Join& join, const ChargeFn& charge) {
+  using Side = std::decay_t<decltype(join.left)>;
+  const Side* sides[2] = {&join.left, &join.right};
+  size_t lw = join.left.column_names().size();
+  size_t width = lw + join.right.column_names().size();
+  // Joined column c is column local(c) of side side_of(c).
+  auto side_of = [lw](size_t c) { return c < lw ? size_t{0} : size_t{1}; };
+  auto local = [lw](size_t c) { return c < lw ? c : c - lw; };
+  for (size_t s = 0; s < 2; ++s) {
+    if (!sides[s]->scan) continue;
+    std::vector<size_t> cols;
+    for (size_t c : ColumnsRead(node, width)) {
+      if (side_of(c) == s) cols.push_back(local(c));
+    }
+    POLY_RETURN_IF_ERROR(CheckParts(sides[s]->sel, cols, "aggregate"));
+  }
+
   size_t k = node.group_by.size();
-  size_t lw = join.left.num_columns();
-  std::vector<std::vector<uint32_t>> key_codes(k);
+  // A key on a scan side has a column (a scan has at least one part), a
+  // key on a row side a code per row; likewise an input on a scan side.
+  std::vector<ScanColumn> key_cols(k);
+  std::vector<std::vector<uint32_t>> key_rows(k);
   std::vector<uint32_t> spaces;
   uint64_t bytes = 0;
   for (size_t g = 0; g < k; ++g) {
     size_t c = node.group_by[g];
-    spaces.push_back(c < lw ? CodeRows(join.left.rows, c, &key_codes[g])
-                            : CodeRows(join.right.rows, c - lw, &key_codes[g]));
-    bytes += key_codes[g].size() * sizeof(uint32_t);
+    const Side& side = *sides[side_of(c)];
+    if (side.scan) {
+      key_cols[g] = OpenColumn(side.sel, local(c));
+      spaces.push_back(CodeScanKey(&key_cols[g]));
+      for (const PartColumn& col : key_cols[g]) bytes += col.MemoryBytes();
+    } else {
+      spaces.push_back(CodeRows(side.rows->rows, local(c), &key_rows[g]));
+      bytes += key_rows[g].size() * sizeof(uint32_t);
+    }
+  }
+  std::vector<size_t> inputs = InputCells::Columns(node, width);
+  std::vector<ScanColumn> input_cols(inputs.size());
+  for (size_t j = 0; j < inputs.size(); ++j) {
+    const Side& side = *sides[side_of(inputs[j])];
+    if (!side.scan) continue;
+    input_cols[j] = OpenColumn(side.sel, local(inputs[j]));
+    bytes += DecodeInput(side.sel, &input_cols[j]);
   }
   POLY_RETURN_IF_ERROR(charge(bytes));
 
@@ -791,30 +846,181 @@ StatusOr<GroupTable> FoldJoin(ThreadPool* tp, size_t morsel, const PlanNode& nod
         InputCells cells(node, width);
         std::vector<uint32_t> codes(k);
         for (size_t i = begin; i < end; ++i) {
-          auto [li, ri] = join.pairs[i];
-          const Row& l = join.left.rows[li];
-          const Row& r = join.right.rows[ri];
-          auto at = [&](size_t c) -> const Value& { return c < lw ? l[c] : r[c - lw]; };
-          for (size_t g = 0; g < k; ++g) codes[g] = key_codes[g][node.group_by[g] < lw ? li : ri];
-          for (size_t j = 0; j < cells.column.size(); ++j) {
-            cells.column[j] = MakeCell(at(cells.columns[j]));
+          // (part, row id) of the pair on each side.
+          std::pair<size_t, uint64_t> at[2] = {join.left.Locate(join.pairs[i].first),
+                                               join.right.Locate(join.pairs[i].second)};
+          auto cell = [&](size_t c) -> const Value& {
+            return sides[side_of(c)]->rows->rows[at[side_of(c)].second][local(c)];
+          };
+          auto key_at = [&](size_t g) -> const Value* {
+            auto [p, r] = at[side_of(node.group_by[g])];
+            return key_cols[g].empty() ? &cell(node.group_by[g]) : &key_cols[g][p].At(r);
+          };
+          for (size_t g = 0; g < k; ++g) {
+            auto [p, r] = at[side_of(node.group_by[g])];
+            codes[g] = key_cols[g].empty() ? key_rows[g][r] : key_cols[g][p].Code(r);
+          }
+          for (size_t j = 0; j < inputs.size(); ++j) {
+            auto [p, r] = at[side_of(inputs[j])];
+            cells.column[j] =
+                input_cols[j].empty() ? MakeCell(cell(inputs[j])) : input_cols[j][p].CellAt(r);
           }
           if (!cells.exprs.empty()) {
-            for (size_t c : cells.probe_columns) cells.probe[c] = at(c);
+            for (size_t c : cells.probe_columns) {
+              const Side& side = *sides[side_of(c)];
+              auto [p, r] = at[side_of(c)];
+              cells.probe[c] = side.scan ? side.sel.parts[p].guard->GetValue(
+                                               r, side.sel.parts[p].emit[local(c)])
+                                         : cell(c);
+            }
             cells.Evaluate(node);
           }
-          fn(codes.data(), cells.agg.data(), [&](size_t g) { return &at(node.group_by[g]); });
+          fn(codes.data(), cells.agg.data(), key_at);
         }
       });
   POLY_RETURN_IF_ERROR(charge(groups.slots.index_bytes()));
   return ToGroupTable(std::move(groups), k);
 }
 
-/// Hash-join build table: key -> right-row indices in ascending order, so
-/// probe output enumerates matches deterministically (serial build appends
-/// in row order; parallel build merges per-morsel tables in morsel order,
-/// which is the same order).
-using JoinIndex = std::unordered_map<Value, std::vector<size_t>, ValueHash>;
+/// A hash join's build side: each distinct key (by type and representation)
+/// once, read in place where it lives (a dictionary entry, a row's cell),
+/// with the ascending positions of the build rows that carry it. A probe
+/// value matches every key that SQL `=` calls equal to it: numeric for
+/// int64/double, exact otherwise, never NULL. Such keys hash alike
+/// (Value::Hash), so they lie on one probe run; when several match (Int 5
+/// beside Double 5.0), their position lists merge.
+class JoinIndex {
+ public:
+  static constexpr uint32_t kNone = UINT32_MAX;  ///< a NULL key's entry
+  /// Build positions, ascending.
+  struct Matches {
+    const size_t* begin = nullptr;
+    const size_t* end = nullptr;
+  };
+
+  /// The entry of `key`, added at its first occurrence; kNone for NULL.
+  /// `key` must outlive the index.
+  uint32_t Add(const Value& key) {
+    if (key.is_null()) return kNone;
+    if (2 * (keys_.size() + 1) > slots_.size()) Rehash(std::max<size_t>(16, 2 * slots_.size()));
+    uint64_t h = key.Hash();
+    size_t mask = slots_.size() - 1;
+    for (size_t i = Home(h);; i = (i + 1) & mask) {
+      uint32_t e = slots_[i];
+      if (e == 0) {
+        keys_.push_back(&key);
+        hashes_.push_back(h);
+        slots_[i] = static_cast<uint32_t>(keys_.size());
+        return slots_[i] - 1;
+      }
+      const Value& other = *keys_[e - 1];
+      if (hashes_[e - 1] == h && other.type() == key.type() && other == key) return e - 1;
+    }
+  }
+
+  /// Groups the build positions by entry: entry_of[pos] is the entry of
+  /// position pos (kNone: none). Each entry's positions stay ascending.
+  void Group(const std::vector<uint32_t>& entry_of) {
+    offsets_.assign(keys_.size() + 1, 0);
+    for (uint32_t e : entry_of) {
+      if (e != kNone) ++offsets_[e + 1];
+    }
+    std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+    positions_.resize(offsets_.back());
+    std::vector<size_t> next(offsets_.begin(), offsets_.end() - 1);
+    for (size_t pos = 0; pos < entry_of.size(); ++pos) {
+      if (entry_of[pos] != kNone) positions_[next[entry_of[pos]]++] = pos;
+    }
+  }
+
+  /// The build positions whose key is `=` to `v`. A list merged from
+  /// several keys is kept in `merged`.
+  Matches Find(const Value& v, std::deque<std::vector<size_t>>* merged) const {
+    Matches out;
+    if (v.is_null() || keys_.empty()) return out;
+    uint64_t h = v.Hash();
+    size_t mask = slots_.size() - 1;
+    bool found = false;
+    for (size_t i = Home(h); slots_[i] != 0; i = (i + 1) & mask) {
+      uint32_t e = slots_[i] - 1;
+      if (hashes_[e] != h || offsets_[e] == offsets_[e + 1] ||
+          !CompareValues(CmpOp::kEq, v, *keys_[e])) {
+        continue;
+      }
+      Matches m{positions_.data() + offsets_[e], positions_.data() + offsets_[e + 1]};
+      if (!found) {
+        out = m;
+        found = true;
+        continue;
+      }
+      std::vector<size_t>& both = merged->emplace_back();
+      both.reserve(static_cast<size_t>((out.end - out.begin) + (m.end - m.begin)));
+      std::merge(out.begin, out.end, m.begin, m.end, std::back_inserter(both));
+      out = {both.data(), both.data() + both.size()};
+    }
+    return out;
+  }
+
+ private:
+  size_t Home(uint64_t h) const {
+    return static_cast<size_t>((h * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  void Rehash(size_t capacity) {
+    slots_.assign(capacity, 0);
+    shift_ = 64 - std::countr_zero(capacity);
+    size_t mask = capacity - 1;
+    for (size_t e = 0; e < keys_.size(); ++e) {
+      size_t i = Home(hashes_[e]);
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = static_cast<uint32_t>(e + 1);
+    }
+  }
+
+  std::vector<const Value*> keys_;  ///< entry -> key, in place
+  std::vector<uint64_t> hashes_;    ///< entry -> key.Hash()
+  std::vector<uint32_t> slots_;     ///< entry + 1 by hash, linear probing; 0 = empty
+  int shift_ = 64;
+  std::vector<size_t> offsets_;     ///< entry e's positions: [offsets_[e], offsets_[e + 1])
+  std::vector<size_t> positions_;
+};
+
+/// A join key column of one scanned part, each key mapped through a
+/// function to a T (its build entry, or its probe matches): once per
+/// dictionary entry when the dictionary has no more entries than the part
+/// has selected rows, else once per row read.
+template <typename T>
+class KeyMap {
+ public:
+  template <typename F>
+  KeyMap(const Column::Reader* col, size_t rows, const F& f)
+      : col_(col), main_n_(col->main_size()) {
+    const SortedDictionary& dict = col->main_dictionary();
+    main_mapped_ = dict.size() <= rows;
+    for (uint64_t id = 0; main_mapped_ && id < dict.size(); ++id) main_.push_back(f(dict.At(id)));
+    delta_mapped_ = col->delta_dict_size() <= rows;
+    for (uint64_t id = 0; delta_mapped_ && id < col->delta_dict_size(); ++id) {
+      delta_.push_back(f(col->DeltaDictValue(id)));
+    }
+  }
+
+  /// The T of row `r`; `f` maps its key when its dictionary is not mapped.
+  template <typename F>
+  T Get(uint64_t r, const F& f) const {
+    if (r < main_n_) {
+      uint64_t id = col_->MainId(r);
+      return main_mapped_ ? main_[id] : f(col_->main_dictionary().At(id));
+    }
+    uint64_t id = col_->DeltaId(r - main_n_);
+    return delta_mapped_ ? delta_[id] : f(col_->DeltaDictValue(id));
+  }
+  uint64_t MemoryBytes() const { return (main_.size() + delta_.size()) * sizeof(T); }
+
+ private:
+  const Column::Reader* col_;
+  uint64_t main_n_;  ///< this column's own: a merge republishes columns one at a time
+  bool main_mapped_ = false, delta_mapped_ = false;
+  std::vector<T> main_, delta_;
+};
 
 /// The top-level conjuncts of `e` (e itself when it is not an AND).
 void FlattenAnd(const ExprPtr& e, std::vector<ExprPtr>* out) {
@@ -1240,6 +1446,25 @@ StatusOr<ResultSet> Executor::ExecScan(const PlanNode& node) {
   return out;
 }
 
+Status Executor::RunSelectScan(const PlanNode& node, ScanSelection* out) {
+  return RunOperator(node, [&]() -> StatusOr<Produced> {
+    POLY_RETURN_IF_ERROR(SelectScan(node, out));
+    return Produced{out->size(), out->size() * sizeof(uint64_t)};
+  });
+}
+
+StatusOr<std::shared_ptr<const ResultSet>> Executor::ExecShared(const PlanNode& node) {
+  if (node.kind != PlanKind::kRows) {
+    POLY_ASSIGN_OR_RETURN(ResultSet rs, Exec(node));
+    return std::make_shared<const ResultSet>(std::move(rs));
+  }
+  POLY_RETURN_IF_ERROR(RunOperator(node, [&]() -> StatusOr<Produced> {
+    if (node.rows == nullptr) return Status::InvalidArgument("unbound row input " + node.table);
+    return Produced{node.rows->num_rows(), EstimateSpanBytes(*node.rows)};
+  }));
+  return node.rows;
+}
+
 StatusOr<ResultSet> Executor::ExecFilter(const PlanNode& node) {
   POLY_ASSIGN_OR_RETURN(ResultSet in, Exec(*node.children[0]));
   ResultSet out;
@@ -1276,53 +1501,90 @@ StatusOr<ResultSet> Executor::ExecProject(const PlanNode& node) {
   return out;
 }
 
+void Executor::JoinSide::AppendRow(size_t pos, Row* out) const {
+  if (!scan) {
+    const Row& row = rows->rows[pos];
+    out->insert(out->end(), row.begin(), row.end());
+    return;
+  }
+  auto [p, r] = sel.Locate(pos);
+  const ScanSelection::Part& part = sel.parts[p];
+  for (size_t c : part.emit) out->push_back(part.guard->GetValue(r, c));
+}
+
+Status Executor::ReadJoinSide(const PlanNode& child, JoinSide* out) {
+  out->scan = child.kind == PlanKind::kScan;
+  if (out->scan) return RunSelectScan(child, &out->sel);
+  POLY_ASSIGN_OR_RETURN(out->rows, ExecShared(child));
+  return Status::OK();
+}
+
 Status Executor::MatchJoin(const PlanNode& node, JoinMatches* out) {
-  POLY_ASSIGN_OR_RETURN(out->left, Exec(*node.children[0]));
-  POLY_ASSIGN_OR_RETURN(out->right, Exec(*node.children[1]));
-  const ResultSet& left = out->left;
-  const ResultSet& right = out->right;
-  if (node.left_key >= left.num_columns() || node.right_key >= right.num_columns()) {
+  POLY_RETURN_IF_ERROR(ReadJoinSide(*node.children[0], &out->left));
+  POLY_RETURN_IF_ERROR(ReadJoinSide(*node.children[1], &out->right));
+  const JoinSide& left = out->left;
+  const JoinSide& right = out->right;
+  if (node.left_key >= left.column_names().size() ||
+      node.right_key >= right.column_names().size()) {
     return Status::InvalidArgument("join key out of range");
   }
+  if (left.scan) POLY_RETURN_IF_ERROR(CheckParts(left.sel, {node.left_key}, "join"));
+  if (right.scan) POLY_RETURN_IF_ERROR(CheckParts(right.sel, {node.right_key}, "join"));
 
-  // Build side: key -> ascending right-row indices. Parallel build fills
-  // per-morsel tables, merged in morsel order so index lists stay sorted.
-  ThreadPool* tp = pool();
-  size_t morsel = morsel_rows();
-  size_t rn = right.rows.size();
+  // Build side: the entry of each right position's key (looked up once per
+  // dictionary entry of a scan side), then positions grouped by entry in
+  // ascending order.
   JoinIndex build;
-  build.reserve(rn);
-  FoldMorsels(
-      tp, morsel, rn, [] { return JoinIndex(); },
-      [&right, &node](size_t begin, size_t end, JoinIndex* idx) {
-        for (size_t i = begin; i < end; ++i) {
-          const Value& key = right.rows[i][node.right_key];
-          if (key.is_null()) continue;
-          (*idx)[key].push_back(i);
-        }
-      },
-      [](const JoinIndex& local, JoinIndex* out) {
-        for (const auto& [key, idxs] : local) {
-          auto& dst = (*out)[key];
-          dst.insert(dst.end(), idxs.begin(), idxs.end());
-        }
-      },
-      &build);
-
+  auto add = [&build](const Value& key) { return build.Add(key); };
+  std::vector<uint32_t> entry_of;
+  entry_of.reserve(right.size());
+  if (right.scan) {
+    for (const ScanSelection::Part& part : right.sel.parts) {
+      KeyMap<uint32_t> entries(&part.guard->col(part.emit[node.right_key]), part.rows.size(),
+                               add);
+      for (uint64_t r : part.rows) entry_of.push_back(entries.Get(r, add));
+    }
+  } else {
+    for (const Row& row : right.rows->rows) entry_of.push_back(add(row[node.right_key]));
+  }
+  build.Group(entry_of);
   // Build side is internal state no span sees: charge ~3 words per entry
   // (hash slot + index vector element) before probing fans out.
-  POLY_RETURN_IF_ERROR(ChargeInternal(rn * 24));
+  POLY_RETURN_IF_ERROR(ChargeInternal(right.size() * 24));
 
-  // Probe side: morsels of left rows, matches merged in left-row order.
+  // Probe side: a scan side finds the matches of each dictionary entry
+  // once; morsels of left positions, matches merged in left order.
+  std::deque<std::vector<size_t>> merged;
+  std::vector<KeyMap<JoinIndex::Matches>> probe;
+  uint64_t probe_bytes = 0;
+  if (left.scan) {
+    for (const ScanSelection::Part& part : left.sel.parts) {
+      probe.emplace_back(&part.guard->col(part.emit[node.left_key]), part.rows.size(),
+                         [&](const Value& key) { return build.Find(key, &merged); });
+      probe_bytes += probe.back().MemoryBytes();
+    }
+  }
+  POLY_RETURN_IF_ERROR(ChargeInternal(probe_bytes));
   MorselConcat(
-      tp, morsel, left.rows.size(),
+      pool(), morsel_rows(), left.size(),
       [&](size_t begin, size_t end, std::vector<std::pair<size_t, size_t>>* pairs) {
-        for (size_t i = begin; i < end; ++i) {
-          const Value& key = left.rows[i][node.left_key];
-          if (key.is_null()) continue;
-          auto it = build.find(key);
-          if (it == build.end()) continue;
-          for (size_t ri : it->second) pairs->emplace_back(i, ri);
+        std::deque<std::vector<size_t>> row_merged;  // one row's, while it emits
+        auto find = [&](const Value& key) {
+          if (!row_merged.empty()) row_merged.clear();
+          return build.Find(key, &row_merged);
+        };
+        auto emit = [pairs](size_t pos, JoinIndex::Matches m) {
+          for (const size_t* r = m.begin; r != m.end; ++r) pairs->emplace_back(pos, *r);
+        };
+        if (left.scan) {
+          size_t pos = begin;
+          left.sel.ForRange(begin, end, [&](const ScanSelection::Part& part, uint64_t r) {
+            emit(pos++, probe[static_cast<size_t>(&part - left.sel.parts.data())].Get(r, find));
+          });
+        } else {
+          for (size_t pos = begin; pos < end; ++pos) {
+            emit(pos, find(left.rows->rows[pos][node.left_key]));
+          }
         }
       },
       &out->pairs);
@@ -1334,14 +1596,16 @@ StatusOr<ResultSet> Executor::ExecHashJoin(const PlanNode& node) {
   POLY_RETURN_IF_ERROR(MatchJoin(node, &join));
   ResultSet out;
   out.column_names = join.column_names();
+  // Only matched rows are read, and only their emitted columns.
   MorselConcat(
       pool(), morsel_rows(), join.pairs.size(),
       [&](size_t begin, size_t end, std::vector<Row>* rows) {
         rows->reserve(rows->size() + (end - begin));
         for (size_t i = begin; i < end; ++i) {
-          Row joined = join.left.rows[join.pairs[i].first];
-          const Row& rrow = join.right.rows[join.pairs[i].second];
-          joined.insert(joined.end(), rrow.begin(), rrow.end());
+          Row joined;
+          joined.reserve(out.column_names.size());
+          join.left.AppendRow(join.pairs[i].first, &joined);
+          join.right.AppendRow(join.pairs[i].second, &joined);
           rows->push_back(std::move(joined));
         }
       },
@@ -1366,14 +1630,11 @@ StatusOr<ResultSet> Executor::ExecAggregate(const PlanNode& node) {
   // are emitted: group keys and MIN/MAX point into them.
   ScanSelection sel;
   JoinMatches join;
-  ResultSet in;
+  std::shared_ptr<const ResultSet> in;
   std::vector<std::string> in_names;
   GroupTable groups;
   if (child.kind == PlanKind::kScan) {
-    POLY_RETURN_IF_ERROR(RunOperator(child, [&]() -> StatusOr<Produced> {
-      POLY_RETURN_IF_ERROR(SelectScan(child, &sel));
-      return Produced{sel.size(), sel.size() * sizeof(uint64_t)};
-    }));
+    POLY_RETURN_IF_ERROR(RunSelectScan(child, &sel));
     POLY_RETURN_IF_ERROR(check_keys(sel.column_names));
     POLY_ASSIGN_OR_RETURN(groups, FoldScan(pool(), morsel_rows(), node, sel, charge));
     in_names = sel.column_names;
@@ -1385,13 +1646,12 @@ StatusOr<ResultSet> Executor::ExecAggregate(const PlanNode& node) {
     }));
     in_names = join.column_names();
     POLY_RETURN_IF_ERROR(check_keys(in_names));
-    POLY_ASSIGN_OR_RETURN(
-        groups, FoldJoin(pool(), morsel_rows(), node, join, in_names.size(), charge));
+    POLY_ASSIGN_OR_RETURN(groups, FoldJoin(pool(), morsel_rows(), node, join, charge));
   } else {
-    POLY_ASSIGN_OR_RETURN(in, Exec(child));
-    POLY_RETURN_IF_ERROR(check_keys(in.column_names));
-    groups = FoldRows(pool(), morsel_rows(), node, in.rows);
-    in_names = in.column_names;
+    POLY_ASSIGN_OR_RETURN(in, ExecShared(child));
+    POLY_RETURN_IF_ERROR(check_keys(in->column_names));
+    groups = FoldRows(pool(), morsel_rows(), node, in->rows);
+    in_names = in->column_names;
   }
 
   ResultSet out;

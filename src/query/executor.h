@@ -43,7 +43,9 @@ bool TryIdRangePredicate(const ColumnTable::ReadGuard& guard, const Expr& pred,
 /// run under snapshot-isolation `view`. A scan first selects the ids of
 /// its qualifying rows, testing every `col op literal` conjunct of its
 /// pushed predicate on main-store value ids; rows are materialized only
-/// where an operator's output is rows. An aggregate that reads straight
+/// where an operator's output is rows. A hash join reads a scan child's
+/// selection and a row leaf's bound rows in place, looking a scan side's
+/// keys up once per dictionary entry. An aggregate that reads straight
 /// from a scan or a hash join never materializes its input: a typed fold
 /// groups the scan's selection, or the join's (left, right) match pairs,
 /// on integer codes of its group keys and reads its inputs from
@@ -52,7 +54,7 @@ bool TryIdRangePredicate(const ColumnTable::ReadGuard& guard, const Expr& pred,
 ///
 /// With ExecOptions::num_threads > 1 execution is morsel-driven: scans and
 /// the scan-shaped operators (filter, project, aggregate input, hash-join
-/// build and probe) split their input into fixed-size row-range morsels
+/// probe and output) split their input into fixed-size row-range morsels
 /// dispatched over a ThreadPool. Per-worker fragments and stats are merged
 /// in morsel order, so results, row order, and ExecStats are identical to
 /// the serial path for any thread count and morsel size (floating-point
@@ -123,30 +125,67 @@ class Executor {
     /// Calls fn(part, row_id) for positions [begin, end) of the concatenation.
     template <typename F>
     void ForRange(size_t begin, size_t end, F&& fn) const;
+    /// The part holding position `pos` (< size()) and the row id there.
+    std::pair<size_t, uint64_t> Locate(size_t pos) const {
+      // Parts are few (one per scanned partition): a linear walk.
+      size_t p = 0;
+      while (p + 1 < parts.size() && parts[p + 1].begin <= pos) ++p;
+      return {p, parts[p].rows[pos - parts[p].begin]};
+    }
   };
   /// The one scan helper: pins every table of `node` (demand-paging demoted
   /// partitions), selects its rows, and accounts for the scan (ExecStats,
   /// `storage.scan.*` counters in the database's registry, access events).
   Status SelectScan(const PlanNode& node, ScanSelection* out);
+  /// SelectScan run as the operator `node` for a consumer that reads the
+  /// selection in place (a fold, a join side): its span's rows_out is the
+  /// selection, and it charges 8 B per selected row.
+  Status RunSelectScan(const PlanNode& node, ScanSelection* out);
   /// SelectScan, then the selected rows materialized.
   StatusOr<ResultSet> ExecScan(const PlanNode& node);
+  /// Runs `node` for a consumer that only reads its rows: a kRows leaf is
+  /// its bound rows, shared rather than copied (with the span and charge
+  /// Exec gives it); any other node is Exec's result.
+  StatusOr<std::shared_ptr<const ResultSet>> ExecShared(const PlanNode& node);
 
-  /// A hash join's inputs and its (left row, right row) matches in output
-  /// order: left-row order, then ascending right row.
+  /// One input of a hash join, read where it lives: a Scan child stays its
+  /// selection, any other child is its rows (a kRows leaf's bound rows, not
+  /// copied). Position i is the i-th row the child returns.
+  struct JoinSide {
+    bool scan = false;
+    ScanSelection sel;                      ///< a Scan child
+    std::shared_ptr<const ResultSet> rows;  ///< any other child
+
+    const std::vector<std::string>& column_names() const {
+      return scan ? sel.column_names : rows->column_names;
+    }
+    size_t size() const { return scan ? sel.size() : rows->rows.size(); }
+    /// Position `pos` as (part, row id); a row side has one part, its rows.
+    std::pair<size_t, uint64_t> Locate(size_t pos) const {
+      return scan ? sel.Locate(pos) : std::pair<size_t, uint64_t>{0, pos};
+    }
+    /// Appends the columns of the row at `pos` (a scan side's emitted ones).
+    void AppendRow(size_t pos, Row* out) const;
+  };
+  /// Runs `child` as a join side (the kind of the child picks the side).
+  Status ReadJoinSide(const PlanNode& child, JoinSide* out);
+
+  /// A hash join's sides and its (left, right) position matches in output
+  /// order: left position, then ascending right position.
   struct JoinMatches {
-    ResultSet left, right;
+    JoinSide left, right;
     std::vector<std::pair<size_t, size_t>> pairs;
 
     /// The joined row's columns: left's, then right's.
     std::vector<std::string> column_names() const {
-      std::vector<std::string> names = left.column_names;
-      names.insert(names.end(), right.column_names.begin(), right.column_names.end());
+      std::vector<std::string> names = left.column_names();
+      names.insert(names.end(), right.column_names().begin(), right.column_names().end());
       return names;
     }
   };
-  /// The one build/probe: runs both children, builds on the right, probes
-  /// with the left. ExecHashJoin materializes the pairs; an aggregate
-  /// folds them.
+  /// The one build/probe: reads both sides in place, builds on the right,
+  /// probes with the left; keys match as SQL `=` compares them.
+  /// ExecHashJoin materializes the matched rows; an aggregate folds them.
   Status MatchJoin(const PlanNode& node, JoinMatches* out);
 
   StatusOr<ResultSet> ExecFilter(const PlanNode& node);

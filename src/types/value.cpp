@@ -97,11 +97,32 @@ std::string Value::ToString() const {
   return "?";
 }
 
+namespace {
+
+/// Hash of a number that `=` compares numerically: an integral double within
+/// ±2^53 hashes as the int64 it equals, so Int 5 and Double 5.0 hash alike.
+uint64_t HashNumber(double d) {
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  if (d >= -kExact && d <= kExact && d == std::trunc(d)) {
+    return std::hash<int64_t>{}(static_cast<int64_t>(d));
+  }
+  return std::hash<double>{}(d);
+}
+
+}  // namespace
+
 uint64_t Value::Hash() const {
   switch (rep_.index()) {
     case 0: return 0x9E3779B97F4A7C15ULL;
-    case 1: return std::hash<int64_t>{}(std::get<int64_t>(rep_));
-    case 2: return std::hash<double>{}(std::get<double>(rep_));
+    case 1: {
+      // Within ±2^53 an int64 keeps its own hash. Past it, `=` matches it with
+      // the double it rounds to, which other int64s round to as well.
+      constexpr int64_t kExact = int64_t{1} << 53;
+      int64_t i = std::get<int64_t>(rep_);
+      if (i >= -kExact && i <= kExact) return std::hash<int64_t>{}(i);
+      return HashNumber(static_cast<double>(i));
+    }
+    case 2: return HashNumber(std::get<double>(rep_));
     case 3: return std::hash<std::string>{}(std::get<std::string>(rep_));
     case 4: return std::get<bool>(rep_) ? 1 : 2;
     case 5: {

@@ -80,6 +80,9 @@ class Value {
   bool SortsBefore(const Value& o) const;
 
   std::string ToString() const;
+  /// Values that SQL `=` treats as equal hash alike: Int 5 and Double 5.0
+  /// do (a BIGINT within ±2^53 keeps std::hash<int64_t>), so hash partition
+  /// pruning, repartitioning and join builds agree with `=`.
   uint64_t Hash() const;
 
  private:

@@ -365,6 +365,93 @@ TEST_F(DistributedSqlFixture, GatherOrCombinesPredicatesOfDoubleScans) {
                                 << " unfiltered=" << unfiltered;
 }
 
+// ---------- `=` between int and double keys ----------
+
+// Hash partition pruning routes `k = 5.0` to the partition that holds Int 5:
+// values that `=` treats as equal hash alike, on an INT partition column
+// and on a DOUBLE one holding Int values.
+TEST_F(DistributedSqlFixture, PartitionPruningMatchesEqualIntAndDoubleLiterals) {
+  CreateBothTables("t",
+                   Schema({ColumnDef("k", DataType::kInt64), ColumnDef("v", DataType::kInt64)}),
+                   PartitionSpec::Hash("k", 8), 2);
+  CreateBothTables("u",
+                   Schema({ColumnDef("d", DataType::kDouble), ColumnDef("v", DataType::kInt64)}),
+                   PartitionSpec::Hash("d", 8), 2);
+  std::vector<Row> rows;
+  for (int i = 0; i < 200; ++i) rows.push_back({Value::Int(i % 20), Value::Int(i)});
+  CommitBoth("t", rows);
+  CommitBoth("u", rows);
+  for (const char* sql : {"SELECT k, v FROM t WHERE k = 5.0", "SELECT k, v FROM t WHERE k = 5",
+                          "SELECT k, v FROM t WHERE k = 5.5", "SELECT d, v FROM u WHERE d = 7.0",
+                          "SELECT d, v FROM u WHERE d = 7"}) {
+    ExpectSameRows(sql, "pruned point query");
+    auto local = Local(sql);
+    ASSERT_TRUE(local.ok());
+    EXPECT_EQ(local->num_rows(), std::string(sql).find(".5") == std::string::npos ? 10u : 0u)
+        << sql;
+  }
+}
+
+// JOIN ON a = b matches keys as WHERE a = b compares them: numerically
+// between int64 and double, never on NULL. A key column mixing Int k,
+// Double k and Double k + 0.5 on both sides puts Int 5 and Double 5.0 into
+// one build side; each probe value matches both, in ascending right row
+// order. One node, and the SOE's broadcast and shuffle joins.
+TEST_F(DistributedSqlFixture, JoinMatchesEqualIntAndDoubleKeys) {
+  CreateBothTables("l",
+                   Schema({ColumnDef("lk", DataType::kDouble), ColumnDef("lv", DataType::kInt64)}),
+                   PartitionSpec::Hash("lv", 4), 2);
+  CreateBothTables("r",
+                   Schema({ColumnDef("rk", DataType::kDouble), ColumnDef("rv", DataType::kInt64)}),
+                   PartitionSpec::Hash("rv", 4), 2);
+  std::mt19937_64 rng(7);
+  auto key = [&]() -> Value {
+    int64_t k = static_cast<int64_t>(rng() % 6);
+    switch (rng() % 4) {
+      case 0: return Value::Int(k);
+      case 1: return Value::Dbl(static_cast<double>(k));
+      case 2: return Value::Dbl(static_cast<double>(k) + 0.5);
+      default: return rng() % 2 ? Value::Null() : Value::Int(k);
+    }
+  };
+  std::vector<Row> left, right;
+  for (int i = 0; i < 40; ++i) left.push_back({key(), Value::Int(i)});
+  for (int i = 0; i < 30; ++i) right.push_back({key(), Value::Int(100 + i)});
+  CommitBoth("l", left);
+  CommitBoth("r", right);
+
+  // The reference: every (left, right) pair whose keys are `=`, in left
+  // order, then right order.
+  std::vector<Row> want;
+  for (const Row& a : left) {
+    for (const Row& b : right) {
+      if (!a[0].is_null() && !b[0].is_null() && CompareValues(CmpOp::kEq, a[0], b[0])) {
+        want.push_back({a[1], b[1]});
+      }
+    }
+  }
+  ASSERT_FALSE(want.empty());
+  const std::string sql = "SELECT lv, rv FROM l JOIN r ON lk = rk";
+  for (bool merged : {false, true}) {
+    if (merged) {
+      (*local_.GetTable("l"))->Merge();
+      (*local_.GetTable("r"))->Merge();
+    }
+    auto local = Local(sql);
+    ASSERT_TRUE(local.ok()) << local.status().ToString();
+    EXPECT_EQ(local->rows, want) << "merged=" << merged;
+  }
+  for (uint64_t threshold : {uint64_t{2048}, uint64_t{0}}) {
+    DistributedPlanner::Options popts;
+    popts.broadcast_threshold_rows = threshold;
+    bridge_.set_planner_options(popts);
+    ExpectSameRows(sql, threshold ? "broadcast join" : "shuffle join");
+    EXPECT_NE(bridge_.AnnotatedPlan().find(threshold ? "broadcast-join" : "shuffle-join"),
+              std::string::npos)
+        << bridge_.AnnotatedPlan();
+  }
+}
+
 // ---------- chaos: node killed mid-shuffle ----------
 
 TEST_F(DistributedSqlFixture, ChaosNodeKillMidShuffleStillMatchesOracle) {

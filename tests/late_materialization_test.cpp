@@ -1,13 +1,13 @@
 // Late-materialization oracle (DESIGN.md §5): an aggregate that reads
 // straight from a scan or a hash join folds the scan's selection, or the
 // join's match pairs, into its group tables without materializing its
-// input, and the scan tests every `col op literal` conjunct of its pushed
-// predicate on main-store value ids. The result must be indistinguishable
-// from the same aggregate over a materialized input — an Exchange
-// pass-through between the two forces that — in rows, row order, column
-// names, ExecStats and span row counts, at 1, 2 and 4 threads and two
-// morsel sizes. Runs with the other parallel oracles under
-// `ctest -L concurrency` (and so under TSan).
+// input; a hash join reads its scan and row-leaf children in place; and
+// the scan tests every `col op literal` conjunct of its pushed predicate
+// on main-store value ids. The result must be indistinguishable from the
+// same plan over materialized inputs — Exchange pass-throughs force that —
+// in rows, row order, column names, ExecStats and span row counts, at 1, 2
+// and 4 threads and two morsel sizes. Runs with the other parallel oracles
+// under `ctest -L concurrency` (and so under TSan).
 
 #include <gtest/gtest.h>
 
@@ -31,16 +31,24 @@ bool IsAggregate(PlanKind kind) {
 }
 
 /// Copy of `plan` with an Exchange pass-through under every aggregate that
-/// reads straight from a scan or a join: the same plan, its aggregate
-/// inputs materialized. `inserted` counts the pass-throughs.
+/// reads straight from a scan or a join, and under every scan or row leaf
+/// a join reads in place: the same plan, its aggregate and join inputs
+/// materialized. `inserted` counts the pass-throughs.
 PlanPtr Materialized(const PlanPtr& plan, int* inserted) {
   auto copy = std::make_shared<PlanNode>(*plan);
   for (PlanPtr& child : copy->children) child = Materialized(child, inserted);
+  auto materialize = [&](PlanPtr* child) {
+    *child = PlanBuilder::From(*child).Exchange(ExchangeMode::kGather).Build();
+    ++*inserted;
+  };
   if (IsAggregate(copy->kind) && (copy->children[0]->kind == PlanKind::kScan ||
                                   copy->children[0]->kind == PlanKind::kHashJoin)) {
-    copy->children[0] =
-        PlanBuilder::From(copy->children[0]).Exchange(ExchangeMode::kGather).Build();
-    ++*inserted;
+    materialize(&copy->children[0]);
+  }
+  if (copy->kind == PlanKind::kHashJoin) {
+    for (PlanPtr& child : copy->children) {
+      if (child->kind == PlanKind::kScan || child->kind == PlanKind::kRows) materialize(&child);
+    }
   }
   return copy;
 }
@@ -187,9 +195,27 @@ class FoldParallelOracle : public ::testing::TestWithParam<int> {
     return std::make_shared<PlanNode>(*FirstScan(*Optimizer().Optimize(*parsed)));
   }
 
+  /// Rows of d staged in memory, as a fragment's bound input: keys Int k,
+  /// Double k, Double k + 0.5 and NULL, so some of them are `=` to each other.
+  std::shared_ptr<const ResultSet> Staged() {
+    auto staged = std::make_shared<ResultSet>();
+    staged->column_names = {"k", "label"};
+    for (int i = 0; i < 24; ++i) {
+      Value k = i % 4 == 0   ? Value::Int(i % 20)
+                : i % 4 == 1 ? Value::Dbl(i % 20)
+                : i % 4 == 2 ? Value::Dbl(i % 20 + 0.5)
+                             : Value::Null();
+      staged->rows.push_back({k, Value::Str("S" + std::to_string(i % 3))});
+    }
+    return staged;
+  }
+
   /// The shapes SQL does not produce: DISTINCT straight over its scan (SQL
-  /// puts a Project in between), a partial/final pair, and aggregates over
-  /// a two-partition scan (one Value -> code map across both parts).
+  /// puts a Project in between), a partial/final pair, aggregates over a
+  /// two-partition scan (one Value -> code map across both parts), and
+  /// joins over a two-partition scan side, a self-join of t on the INT/DOUBLE
+  /// mix m (Int k and Double k on one build side) and a join with a staged
+  /// row side, each plain and under an aggregate.
   std::vector<PlanPtr> HandBuilt(const std::string& pred) {
     std::vector<AggSpec> aggs = {{AggFunc::kCount, nullptr, "n"},
                                  {AggFunc::kSum, Expr::Column(3), "sc"},
@@ -211,6 +237,35 @@ class FoldParallelOracle : public ::testing::TestWithParam<int> {
                         .Build());
     plans.push_back(PlanBuilder::From(parts)
                         .Aggregate({4, 2}, {aggs[0], aggs[3], aggs[5]})
+                        .Build());
+
+    // Joined rows: t's six columns, then the right side's. The partitions
+    // are the probe side of one join and the build side of another.
+    std::vector<AggSpec> join_aggs = {{AggFunc::kCount, nullptr, "n"},
+                                      {AggFunc::kSum, Expr::Column(3), "sc"},
+                                      {AggFunc::kMin, Expr::Column(7), "lo"},
+                                      {AggFunc::kSum, Expr::Arith(ArithOp::kMul, Expr::Column(0),
+                                                                   Expr::Column(2)),
+                                       "p"}};
+    PlanPtr d = PlanBuilder::Scan("d").Build();
+    PlanPtr parts_d = PlanBuilder::From(parts).HashJoin(d, 0, 0).Build();
+    plans.push_back(parts_d);
+    plans.push_back(PlanBuilder::From(parts_d).Aggregate({7}, join_aggs).Build());
+    PlanPtr d_parts = PlanBuilder::From(d).HashJoin(parts, 0, 0).Build();
+    plans.push_back(d_parts);
+    plans.push_back(PlanBuilder::From(d_parts).Aggregate({1, 4}, {join_aggs[0]}).Build());
+    PlanPtr self =
+        PlanBuilder::From(ScanT(pred)).HashJoin(PlanBuilder::Scan("t").Build(), 2, 2).Build();
+    plans.push_back(self);
+    plans.push_back(PlanBuilder::From(self).Aggregate({8, 1}, join_aggs).Build());
+    PlanPtr staged = PlanBuilder::From(ScanT(pred))
+                         .HashJoin(PlanBuilder::Rows("staged", Staged()).Build(), 2, 0)
+                         .Build();
+    plans.push_back(staged);
+    plans.push_back(PlanBuilder::From(staged).Aggregate({7}, join_aggs).Build());
+    plans.push_back(PlanBuilder::Rows("staged", Staged())
+                        .HashJoin(ScanT(pred), 0, 0)
+                        .Aggregate({1}, {join_aggs[0], {AggFunc::kMax, Expr::Column(5), "hi"}})
                         .Build());
     return plans;
   }
@@ -260,7 +315,7 @@ class FoldParallelOracle : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(FoldParallelOracle, FoldEqualsAggregateOverMaterializedInput) {
-  // 8 seeds x 4 trials x 13 plans, each at 6 (threads, morsel) settings.
+  // 8 seeds x 4 trials x 25 plans, each at 6 (threads, morsel) settings.
   // Every failure message carries seed + trial + SQL for reproduction.
   Random rng(static_cast<uint64_t>(GetParam()) * 104729);
   Load(&rng);
@@ -284,7 +339,12 @@ TEST_P(FoldParallelOracle, FoldEqualsAggregateOverMaterializedInput) {
              "SELECT s, COUNT(*) AS n, SUM(big) AS sb, MIN(label) AS lo FROM t JOIN d ON a = k "
              "WHERE " + pred + " GROUP BY s",
              "SELECT label, m, COUNT(*) AS n, SUM(big) AS sb, MAX(w) AS hi FROM t "
-             "JOIN d ON a = k WHERE " + pred + " GROUP BY label, m"}) {
+             "JOIN d ON a = k WHERE " + pred + " GROUP BY label, m",
+             "SELECT a, s, label, c FROM t JOIN d ON a = k WHERE " + pred +
+                 " ORDER BY label, c DESC",
+             "SELECT label, COUNT(*) AS n, SUM(c) AS sc, MAX(m) AS hi FROM t "
+             "JOIN d ON m = k WHERE " + pred + " GROUP BY label",
+             "SELECT m, k, label FROM t JOIN d ON m = k WHERE " + pred}) {
       Check(Sql(sql), ctx + " | " + sql);
     }
     for (const PlanPtr& plan : HandBuilt(pred)) Check(plan, ctx + " | hand-built");
