@@ -54,7 +54,8 @@ void ScanBenchmark(benchmark::State& state, bool compress_main) {
     (void)t.AppendVersion({Value::Int(static_cast<int64_t>(rng.Uniform(1024)))}, 1);
   }
   t.Merge();
-  const Column& col = t.column(0);
+  ColumnTable::ReadGuard g(&t);
+  const Column::Reader& col = g.col(0);
   std::vector<uint64_t> buffer(4096);
   for (auto _ : state) {
     uint64_t sum = 0;

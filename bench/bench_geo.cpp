@@ -45,8 +45,9 @@ void Geo_WithinDistance_FullScan(benchmark::State& state) {
     GeoPointValue center{-10 + rng.NextDouble() * 40, 35 + rng.NextDouble() * 30};
     size_t count = 0;
     ReadView now = setup.tm.AutoCommitView();
-    setup.sites->ScanVisible(now, [&](uint64_t r) {
-      if (HaversineMeters(setup.sites->GetValue(r, 1).AsGeoPoint(), center) <= 50000) {
+    ColumnTable::ReadGuard g(setup.sites);
+    g.ScanVisible(now, [&](uint64_t r) {
+      if (HaversineMeters(g.GetValue(r, 1).AsGeoPoint(), center) <= 50000) {
         ++count;
       }
     });

@@ -126,7 +126,7 @@ void Hadoop_ImportToEngine(benchmark::State& state) {
     Database db;
     TransactionManager tm;
     auto t = conn.Import(setup.path, "local_" + std::to_string(round++), &db, &tm);
-    benchmark::DoNotOptimize((*t)->num_versions());
+    benchmark::DoNotOptimize((*t)->Read().size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

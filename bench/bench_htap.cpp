@@ -92,8 +92,9 @@ void HTAP_OlapQuery_Row(benchmark::State& state) {
   for (auto _ : state) {
     std::unordered_map<std::string, std::pair<int64_t, double>> groups;
     ReadView now = tm.AutoCommitView();
-    t->ScanVisible(now, [&](uint64_t r) {
-      const Row& row = t->GetRow(r);
+    RowTable::ReadGuard rows(t);
+    rows.ScanVisible(now, [&](uint64_t r) {
+      const Row& row = rows.row(r);
       auto& g = groups[row[2].AsString()];
       g.first += 1;
       g.second += row[3].AsDouble();
@@ -119,7 +120,7 @@ void HTAP_TwoSystems_WithReplication(benchmark::State& state) {
   for (auto _ : state) {
     // OLTP side.
     auto txn = tm.Begin();
-    uint64_t first_new = oltp->num_versions();
+    uint64_t first_new = oltp->Read().size();
     for (int i = 0; i < 500; ++i) {
       (void)tm.Insert(txn.get(), oltp, bench::MakeOrder(id++, &rng, &customers));
     }
@@ -128,9 +129,10 @@ void HTAP_TwoSystems_WithReplication(benchmark::State& state) {
     // Real replication crosses a process boundary: rows serialize out of
     // the OLTP store and deserialize into the OLAP store.
     auto repl = tm.Begin();
-    for (uint64_t r = first_new; r < oltp->num_versions(); ++r) {
+    RowTable::ReadGuard rows(oltp);
+    for (uint64_t r = first_new; r < rows.size(); ++r) {
       Serializer wire;
-      Row row = oltp->GetRow(r);
+      Row row = rows.row(r);
       wire.PutVarint(row.size());
       for (const Value& v : row) WriteValue(&wire, v);
       Deserializer rd(wire.data());

@@ -62,8 +62,9 @@ void Plan_CopyVersion_RowAtATime(benchmark::State& state) {
     // a time (round trips modeled by the per-row transaction overhead).
     std::vector<Row> source;
     ReadView now = tm.AutoCommitView();
-    t->ScanVisible(now, [&](uint64_t r) {
-      Row row = t->GetRow(r);
+    ColumnTable::ReadGuard g(t);
+    g.ScanVisible(now, [&](uint64_t r) {
+      Row row = g.GetRow(r);
       if (row[0].AsInt() == 1) source.push_back(std::move(row));
     });
     for (Row& row : source) {

@@ -90,11 +90,10 @@ void Text_CombinedQuery(benchmark::State& state) {
   for (auto _ : state) {
     size_t count = 0;
     ReadView now = setup.tm.AutoCommitView();
+    ColumnTable::ReadGuard g(setup.docs);
     for (const SearchHit& hit : engine.SearchAll("pump failed", 1u << 30)) {
-      if (!now.RowVisible(setup.docs->cts(hit.doc_id), setup.docs->dts(hit.doc_id))) {
-        continue;
-      }
-      if (setup.docs->GetValue(hit.doc_id, 1).AsInt() < 20) ++count;
+      if (!now.RowVisible(g.cts(hit.doc_id), g.dts(hit.doc_id))) continue;
+      if (g.GetValue(hit.doc_id, 1).AsInt() < 20) ++count;
     }
     hits = count;
     benchmark::DoNotOptimize(hits);

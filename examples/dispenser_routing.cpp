@@ -62,7 +62,8 @@ int main() {
   DfsTableConnector connector(&dfs);
   ColumnTable* readings = *connector.Import("/iot/fill_levels.tsv", "readings", &db, &tm);
   std::printf("imported %llu sensor readings from DFS\n",
-              static_cast<unsigned long long>(readings->CountVisible(tm.AutoCommitView())));
+              static_cast<unsigned long long>(
+                  readings->Read().CountVisible(tm.AutoCommitView())));
 
   // ---- Event notices: unstructured text, mined for sites ----
   ColumnTable* notices = *db.CreateTable(
@@ -85,13 +86,14 @@ int main() {
 
   // ---- Decide which dispensers need a refill ----
   ReadView now = tm.AutoCommitView();
+  ColumnTable::ReadGuard dispenser_rows(dispensers);
   std::set<int64_t> to_refill;
   for (int d = 0; d < 12; ++d) {
     TimeSeries series = *SeriesFromTable(*readings, now, "ts", "fill", "dispenser", d);
     double last_fill = series.values.back();
     // Proactive refill threshold rises for event sites (the paper's
     // "fill them earlier, if they have notice of a major event").
-    Value site = dispensers->GetValue(static_cast<uint64_t>(d), 1);
+    Value site = dispenser_rows.GetValue(static_cast<uint64_t>(d), 1);
     double threshold = (stadium_event && site.AsString() == "stadium") ? 80.0 : 25.0;
     if (last_fill < threshold) to_refill.insert(d);
   }
@@ -136,7 +138,7 @@ int main() {
       }
     }
     if (best < 0) break;
-    Value site = dispensers->GetValue(static_cast<uint64_t>(best), 1);
+    Value site = dispenser_rows.GetValue(static_cast<uint64_t>(best), 1);
     std::printf("  -> dispenser %lld at %s (%.1f km, %zu hops)\n",
                 static_cast<long long>(best), site.AsString().c_str(), best_cost,
                 best_path.size() - 1);

@@ -50,7 +50,7 @@ int main() {
   ColumnTable* tracks = *connector.Import("/weather/hurricanes.tsv", "tracks", &db, &tm);
   ReadView now = tm.AutoCommitView();
   std::printf("loaded %llu hurricane track points from DFS\n",
-              static_cast<unsigned long long>(tracks->CountVisible(now)));
+              static_cast<unsigned long long>(tracks->Read().CountVisible(now)));
 
   // ---- ERP: customers with premiums and locations ----
   ColumnTable* customers = *db.CreateTable(
@@ -73,10 +73,13 @@ int main() {
   // ---- Predictive engine: storms-per-season trend + forecast ----
   std::map<int64_t, std::map<int64_t, bool>> season_storms;
   size_t year_col = 0, storm_col = 1;
-  tracks->ScanVisible(now, [&](uint64_t r) {
-    season_storms[tracks->GetValue(r, year_col).AsInt()]
-                 [tracks->GetValue(r, storm_col).AsInt()] = true;
-  });
+  {
+    ColumnTable::ReadGuard track_rows(tracks);
+    track_rows.ScanVisible(now, [&](uint64_t r) {
+      season_storms[track_rows.GetValue(r, year_col).AsInt()]
+                   [track_rows.GetValue(r, storm_col).AsInt()] = true;
+    });
+  }
   std::vector<double> per_season;
   for (const auto& [year, storms] : season_storms) {
     per_season.push_back(static_cast<double>(storms.size()));
@@ -94,11 +97,12 @@ int main() {
   uint64_t high_risk = 0;
   double scale = forecast[0] / (per_season.empty() ? 1.0 : per_season.back());
   std::vector<std::pair<uint64_t, Row>> updates;
-  customers->ScanVisible(now, [&](uint64_t r) {
-    GeoPointValue home = customers->GetValue(r, 2).AsGeoPoint();
+  ColumnTable::ReadGuard customer_rows(customers);
+  customer_rows.ScanVisible(now, [&](uint64_t r) {
+    GeoPointValue home = customer_rows.GetValue(r, 2).AsGeoPoint();
     size_t hits = track_index.WithinDistance(home, 100000).size();  // 100 km
     double risk = static_cast<double>(hits) / 30.0 * scale;  // per forecast season
-    Row row = customers->GetRow(r);
+    Row row = customer_rows.GetRow(r);
     row[3] = Value::Dbl(risk);
     row[1] = Value::Dbl(800.0 * (1.0 + risk * 0.10));  // re-price premium
     updates.emplace_back(r, std::move(row));
@@ -114,8 +118,9 @@ int main() {
   // ---- Report: premium uplift stats ----
   ReadView after = tm.AutoCommitView();
   double total_premium = 0;
-  customers->ScanVisible(after, [&](uint64_t r) {
-    total_premium += customers->GetValue(r, 1).AsDouble();
+  ColumnTable::ReadGuard repriced(customers);
+  repriced.ScanVisible(after, [&](uint64_t r) {
+    total_premium += repriced.GetValue(r, 1).AsDouble();
   });
   std::printf("total annual premium after re-pricing: %.0f (was %.0f)\n", total_premium,
               200 * 800.0);

@@ -92,7 +92,7 @@ int main() {
   }
   ReadView now = tm.AutoCommitView();
   std::printf("in-memory hourly table: %llu rows\n",
-              static_cast<unsigned long long>(hourly->CountVisible(now)));
+              static_cast<unsigned long long>(hourly->Read().CountVisible(now)));
 
   // ---- ERP: production incidents (machine 2 had quality dips) ----
   ColumnTable* incidents = *db.CreateTable(

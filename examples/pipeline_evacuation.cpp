@@ -94,14 +94,16 @@ int main() {
 
   int64_t people_affected = 0;
   std::vector<uint64_t> affected_sites;
+  ColumnTable::ReadGuard station_rows(stations);
+  ColumnTable::ReadGuard site_rows(sites);
   for (int64_t station : hot_zone) {
     GeoPointValue pos =
-        stations->GetValue(static_cast<uint64_t>(station), 2).AsGeoPoint();
+        station_rows.GetValue(static_cast<uint64_t>(station), 2).AsGeoPoint();
     for (uint64_t site_row : site_index.WithinDistance(pos, 4000)) {
       if (std::find(affected_sites.begin(), affected_sites.end(), site_row) ==
           affected_sites.end()) {
         affected_sites.push_back(site_row);
-        people_affected += sites->GetValue(site_row, 1).AsInt();
+        people_affected += site_rows.GetValue(site_row, 1).AsInt();
       }
     }
   }
@@ -129,7 +131,7 @@ int main() {
                                      "minutes", /*directed=*/false);
   std::printf("\nevacuation routes:\n");
   for (uint64_t site_row : affected_sites) {
-    int64_t site = sites->GetValue(site_row, 0).AsInt();
+    int64_t site = site_rows.GetValue(site_row, 0).AsInt();
     double west_cost, east_cost;
     auto west = road.ShortestPath(site, 900, &west_cost);
     auto east = road.ShortestPath(site, 901, &east_cost);

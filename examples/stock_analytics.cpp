@@ -55,7 +55,7 @@ int main() {
   }
   ReadView now = tm.AutoCommitView();
   std::printf("price table: %llu rows (merged, %zu bytes)\n",
-              static_cast<unsigned long long>(prices->CountVisible(now)),
+              static_cast<unsigned long long>(prices->Read().CountVisible(now)),
               prices->MemoryBytes());
 
   // ---- Daily returns per stock via the time-series engine ----

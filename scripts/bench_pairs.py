@@ -6,6 +6,7 @@ committed or not):
   python3 scripts/bench_pairs.py --parent COMMIT --label NAME \
       --workload olap [--workload oltp ...] --pairs N --seeds 901,902,... \
       [--seconds 20] [--trace 0|1] [--scale 1.0] [--parent-dir DIR]
+  python3 scripts/bench_pairs.py --report BENCH_<label>.json
 
 The parent side is a `git worktree` of COMMIT (removed afterwards), or an
 existing checkout given with --parent-dir (for example a `git archive`
@@ -23,6 +24,13 @@ seeds, and the attempted, failed and correct counts of every run. Under
 "printed_metrics" it keeps every `metric <name> <value> <unit>` line a run
 printed, also those its JSON result leaves out (the per-shape latencies
 such as query_p50_ms.join_groupby), as per-side medians and quartiles.
+
+At the end of a run, and alone with --report (which runs nothing), it
+prints one line per workload and end-to-end metric of BENCHMARK.json: both
+medians; the move in the worse direction as a share of the parent median
+(negative when the change is better); each side's interquartile range as a
+share of the parent median; the metric's bound; the pairs the change won;
+and whether every change run beat every parent run.
 """
 
 import argparse
@@ -41,18 +49,59 @@ def fail(message):
     sys.exit(1)
 
 
-def directions():
-    """Metric name -> "higher" or "lower", from BENCHMARK.json."""
+def benchmark_spec():
     path = os.path.join(ROOT, "BENCHMARK.json")
     if not os.path.isfile(path):
         return {}
     with open(path) as f:
-        spec = json.load(f)
+        return json.load(f)
+
+
+def directions():
+    """Metric name -> "higher" or "lower", from BENCHMARK.json."""
+    spec = benchmark_spec()
     out = {}
     for group in ("end_to_end", "per_layer"):
         for metric in spec.get(group, []):
             out[metric["name"]] = metric["better"]
     return out
+
+
+def print_bounds_table(report, out=sys.stdout):
+    """Each end-to-end metric of each workload in `report` beside its bound."""
+    header = ("workload", "metric", "parent", "change", "worse", "parent IQR",
+              "change IQR", "bound", "won", "all beat")
+    rows = []
+    for workload, data in sorted(report.get("workloads", {}).items()):
+        npairs = len(data.get("pairs", []))
+        for spec in benchmark_spec().get("end_to_end", []):
+            entry = data["metrics"].get(spec["name"])
+            if entry is None or "parent" not in entry or "change" not in entry:
+                continue
+            parent, change = entry["parent"], entry["change"]
+            base = parent["median"]
+            sign = 1 if spec["better"] == "lower" else -1
+
+            def share(x):
+                return "%+.1f%%" % (100 * x / base) if base else "n/a"
+
+            def value(x):
+                return "%.4g" % x if abs(x) < 1e4 else "%.0f" % x
+
+            if sign > 0:
+                all_beat = max(change["values"]) < min(parent["values"])
+            else:
+                all_beat = min(change["values"]) > max(parent["values"])
+            rows.append((workload, spec["name"], value(base), value(change["median"]),
+                         share(sign * (change["median"] - base)),
+                         share(parent["q3"] - parent["q1"]).lstrip("+"),
+                         share(change["q3"] - change["q1"]).lstrip("+"),
+                         "%.0f%%" % (100 * spec["bound"]),
+                         "%d/%d" % (entry.get("change_wins", 0), npairs),
+                         "yes" if all_beat else "no"))
+    widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(len(header))]
+    for row in [header] + rows:
+        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip(), file=out)
 
 
 def git(*args, cwd=ROOT):
@@ -99,12 +148,14 @@ def summary(values):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="commit of the parent side")
-    parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
-    parser.add_argument("--workload", action="append", required=True,
+    parser.add_argument("--report", metavar="BENCH_FILE",
+                        help="print the bounds table of an existing BENCH file and exit")
+    parser.add_argument("--parent", help="commit of the parent side")
+    parser.add_argument("--label", help="names BENCH_<label>.json")
+    parser.add_argument("--workload", action="append",
                         choices=("oltp", "olap", "soe_sql"))
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seeds", required=True, help="comma-separated seeds")
+    parser.add_argument("--pairs", type=int)
+    parser.add_argument("--seeds", help="comma-separated seeds")
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scale", type=float, default=1.0)
@@ -115,6 +166,16 @@ def main():
     parser.add_argument("--output", help="output file (default ROOT/BENCH_<label>.json); "
                         "workloads already in it for the same parent commit are kept")
     args = parser.parse_args()
+    if args.report:
+        with open(args.report) as f:
+            print_bounds_table(json.load(f))
+        return
+    missing = [flag for flag, value in (("--parent", args.parent), ("--label", args.label),
+                                        ("--workload", args.workload),
+                                        ("--pairs", args.pairs), ("--seeds", args.seeds))
+               if value is None]
+    if missing:
+        parser.error("a run needs " + ", ".join(missing))
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if args.pairs < 1 or not seeds:
         fail("need at least one pair and one seed")
@@ -209,6 +270,7 @@ def main():
     with open(output, "w") as f:
         json.dump(report, f, indent=1, sort_keys=True)
         f.write("\n")
+    print_bounds_table(report)
     print(output)
 
 

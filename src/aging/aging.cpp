@@ -99,8 +99,9 @@ StatusOr<AgingStats> AgingManager::RunAging() {
                                                   ->schema()
                                                   .IndexOf(rule->guard->other_key_column));
         ReadView view = tm_->AutoCommitView();
-        (*other_aged)->ScanVisible(view, [&](uint64_t r) {
-          Value k = (*other_aged)->GetValue(r, key_col);
+        ColumnTable::ReadGuard aged_rows(*other_aged);
+        aged_rows.ScanVisible(view, [&](uint64_t r) {
+          Value k = aged_rows.GetValue(r, key_col);
           if (!k.is_null()) guard_keys.insert(k.AsInt());
         });
       }
@@ -108,8 +109,9 @@ StatusOr<AgingStats> AgingManager::RunAging() {
 
     ReadView view = tm_->AutoCommitView();
     std::vector<uint64_t> to_move;
-    hot->ScanVisible(view, [&](uint64_t r) {
-      Row row = hot->GetRow(r);
+    ColumnTable::ReadGuard hot_rows(hot);
+    hot_rows.ScanVisible(view, [&](uint64_t r) {
+      Row row = hot_rows.GetRow(r);
       if (rule->predicate && !rule->predicate->EvalBool(row)) return;
       if (has_guard) {
         Value fk = row[guard_fk_col];
@@ -124,7 +126,7 @@ StatusOr<AgingStats> AgingManager::RunAging() {
     if (to_move.empty()) continue;
     auto txn = tm_->Begin();
     for (uint64_t r : to_move) {
-      Row row = hot->GetRow(r);
+      Row row = hot_rows.GetRow(r);
       POLY_RETURN_IF_ERROR(tm_->Delete(txn.get(), hot, r));
       POLY_RETURN_IF_ERROR(tm_->Insert(txn.get(), aged, row));
     }
@@ -261,8 +263,9 @@ Status StatsPruner::Analyze(const std::string& table,
     ps.name = part;
     ps.column = column;
     ReadView view = tm_->AutoCommitView();
-    t->ScanVisible(view, [&](uint64_t r) {
-      Value v = t->GetValue(r, col);
+    ColumnTable::ReadGuard g(t);
+    g.ScanVisible(view, [&](uint64_t r) {
+      Value v = g.GetValue(r, col);
       if (v.is_null()) return;
       if (!ps.has_rows || v < ps.min) ps.min = v;
       if (!ps.has_rows || ps.max < v) ps.max = v;

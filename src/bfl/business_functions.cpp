@@ -57,10 +57,11 @@ StatusOr<double> CurrencyConverter::ConvertedSum(const ColumnTable& table,
   std::map<std::string, double> rate_cache;
   double total = 0;
   Status status = Status::OK();
-  table.ScanVisible(view, [&](uint64_t r) {
+  ColumnTable::ReadGuard g(&table);
+  g.ScanVisible(view, [&](uint64_t r) {
     if (!status.ok()) return;
-    Value amount = table.GetValue(r, amount_col);
-    Value currency = table.GetValue(r, currency_col);
+    Value amount = g.GetValue(r, amount_col);
+    Value currency = g.GetValue(r, currency_col);
     if (amount.is_null() || currency.is_null()) return;
     const std::string& code = currency.AsString();
     auto it = rate_cache.find(code);

@@ -143,9 +143,10 @@ StatusOr<std::vector<uint64_t>> DocQuery::SelectWhere(const ReadView& view,
   POLY_ASSIGN_OR_RETURN(DocPath parsed, DocPath::Parse(path));
   std::vector<uint64_t> rows;
   Status status = Status::OK();
-  table_->ScanVisible(view, [&](uint64_t r) {
+  ColumnTable::ReadGuard g(table_);
+  g.ScanVisible(view, [&](uint64_t r) {
     if (!status.ok()) return;
-    Value cell = table_->GetValue(r, column_);
+    Value cell = g.GetValue(r, column_);
     if (cell.is_null()) return;
     auto doc = ParseJson(cell.AsString());
     if (!doc.ok()) {
@@ -168,9 +169,10 @@ StatusOr<std::vector<uint64_t>> DocQuery::SelectExists(const ReadView& view,
   POLY_ASSIGN_OR_RETURN(DocPath parsed, DocPath::Parse(path));
   std::vector<uint64_t> rows;
   Status status = Status::OK();
-  table_->ScanVisible(view, [&](uint64_t r) {
+  ColumnTable::ReadGuard g(table_);
+  g.ScanVisible(view, [&](uint64_t r) {
     if (!status.ok()) return;
-    Value cell = table_->GetValue(r, column_);
+    Value cell = g.GetValue(r, column_);
     if (cell.is_null()) return;
     auto doc = ParseJson(cell.AsString());
     if (!doc.ok()) {
@@ -188,9 +190,10 @@ StatusOr<std::vector<std::pair<uint64_t, JsonValue>>> DocQuery::Extract(
   POLY_ASSIGN_OR_RETURN(DocPath parsed, DocPath::Parse(path));
   std::vector<std::pair<uint64_t, JsonValue>> out;
   Status status = Status::OK();
-  table_->ScanVisible(view, [&](uint64_t r) {
+  ColumnTable::ReadGuard g(table_);
+  g.ScanVisible(view, [&](uint64_t r) {
     if (!status.ok()) return;
-    Value cell = table_->GetValue(r, column_);
+    Value cell = g.GetValue(r, column_);
     if (cell.is_null()) return;
     auto doc = ParseJson(cell.AsString());
     if (!doc.ok()) {

@@ -28,7 +28,10 @@ Status FlexibleTable::Insert(const std::map<std::string, Value>& record) {
 }
 
 uint64_t FlexibleTable::NumRecords() const {
-  return table_->CountVisible(tm_->AutoCommitView());
+  // View first, guard second: every commit the snapshot covers is inside
+  // the guard's watermark.
+  ReadView view = tm_->AutoCommitView();
+  return ColumnTable::ReadGuard(table_).CountVisible(view);
 }
 
 }  // namespace poly

@@ -8,7 +8,7 @@ namespace poly {
 
 namespace {
 
-JsonValue RowToJson(const ColumnTable& table, uint64_t row) {
+JsonValue RowToJson(const ColumnTable::ReadGuard& table, uint64_t row) {
   std::map<std::string, JsonValue> fields;
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const std::string& name = table.schema().column(c).name;
@@ -49,21 +49,23 @@ StatusOr<uint64_t> ObjectJoinIndex::Materialize(TransactionManager* tm,
   ReadView view = tm->AutoCommitView();
 
   std::unordered_map<int64_t, std::vector<JsonValue>> items_by_key;
-  items.ScanVisible(view, [&](uint64_t r) {
-    Value key = items.GetValue(r, fk);
+  ColumnTable::ReadGuard item_rows(&items);
+  item_rows.ScanVisible(view, [&](uint64_t r) {
+    Value key = item_rows.GetValue(r, fk);
     if (key.is_null()) return;
-    items_by_key[key.AsInt()].push_back(RowToJson(items, r));
+    items_by_key[key.AsInt()].push_back(RowToJson(item_rows, r));
   });
 
   auto txn = tm->Begin();
   uint64_t written = 0;
   Status status = Status::OK();
-  header.ScanVisible(view, [&](uint64_t r) {
+  ColumnTable::ReadGuard header_rows(&header);
+  header_rows.ScanVisible(view, [&](uint64_t r) {
     if (!status.ok()) return;
-    Value key = header.GetValue(r, hk);
+    Value key = header_rows.GetValue(r, hk);
     if (key.is_null()) return;
     std::map<std::string, JsonValue> object;
-    object["header"] = RowToJson(header, r);
+    object["header"] = RowToJson(header_rows, r);
     auto it = items_by_key.find(key.AsInt());
     object["items"] = JsonValue::Array(
         it == items_by_key.end() ? std::vector<JsonValue>{} : it->second);
@@ -80,11 +82,12 @@ StatusOr<uint64_t> ObjectJoinIndex::Materialize(TransactionManager* tm,
 StatusOr<JsonValue> ObjectJoinIndex::Lookup(const ColumnTable& target,
                                             const ReadView& view, int64_t key) {
   StatusOr<JsonValue> result = Status::NotFound("no object for key " + std::to_string(key));
-  target.ScanVisible(view, [&](uint64_t r) {
+  ColumnTable::ReadGuard g(&target);
+  g.ScanVisible(view, [&](uint64_t r) {
     if (result.ok()) return;
-    Value k = target.GetValue(r, 0);
+    Value k = g.GetValue(r, 0);
     if (!k.is_null() && k.AsInt() == key) {
-      Value doc = target.GetValue(r, 1);
+      Value doc = g.GetValue(r, 1);
       if (!doc.is_null()) result = ParseJson(doc.AsString());
     }
   });

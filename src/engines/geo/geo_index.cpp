@@ -14,8 +14,9 @@ StatusOr<GeoIndex> GeoIndex::Build(const ColumnTable& table, const ReadView& vie
   if (cell_degrees <= 0) return Status::InvalidArgument("cell size must be positive");
   GeoIndex idx;
   idx.cell_degrees_ = cell_degrees;
-  table.ScanVisible(view, [&](uint64_t r) {
-    Value v = table.GetValue(r, col);
+  ColumnTable::ReadGuard g(&table);
+  g.ScanVisible(view, [&](uint64_t r) {
+    Value v = g.GetValue(r, col);
     if (v.is_null()) return;
     const GeoPointValue& p = v.AsGeoPoint();
     uint32_t slot = static_cast<uint32_t>(idx.points_.size());

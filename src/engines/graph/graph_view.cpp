@@ -24,13 +24,14 @@ StatusOr<GraphView> GraphView::Build(const ColumnTable& edges, const ReadView& v
     double weight;
   };
   std::vector<RawEdge> raw;
-  edges.ScanVisible(view, [&](uint64_t r) {
-    Value s = edges.GetValue(r, src_col);
-    Value d = edges.GetValue(r, dst_col);
+  ColumnTable::ReadGuard guard(&edges);
+  guard.ScanVisible(view, [&](uint64_t r) {
+    Value s = guard.GetValue(r, src_col);
+    Value d = guard.GetValue(r, dst_col);
     if (s.is_null() || d.is_null()) return;
     double w = 1.0;
     if (weight_col >= 0) {
-      Value wv = edges.GetValue(r, static_cast<size_t>(weight_col));
+      Value wv = guard.GetValue(r, static_cast<size_t>(weight_col));
       if (!wv.is_null()) w = wv.NumericValue();
     }
     raw.push_back({s.AsInt(), d.AsInt(), w});

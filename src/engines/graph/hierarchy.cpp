@@ -14,9 +14,10 @@ StatusOr<HierarchyView> HierarchyView::Build(const ColumnTable& table,
   HierarchyView h;
   std::vector<int64_t> parents_raw;
   Status status = Status::OK();
-  table.ScanVisible(view, [&](uint64_t r) {
+  ColumnTable::ReadGuard guard(&table);
+  guard.ScanVisible(view, [&](uint64_t r) {
     if (!status.ok()) return;
-    Value idv = table.GetValue(r, id_col);
+    Value idv = guard.GetValue(r, id_col);
     if (idv.is_null()) return;
     int64_t id = idv.AsInt();
     if (h.index_.count(id)) {
@@ -25,7 +26,7 @@ StatusOr<HierarchyView> HierarchyView::Build(const ColumnTable& table,
     }
     h.index_.emplace(id, static_cast<int>(h.ids_.size()));
     h.ids_.push_back(id);
-    Value pv = table.GetValue(r, parent_col);
+    Value pv = guard.GetValue(r, parent_col);
     parents_raw.push_back(pv.is_null() ? id : pv.AsInt());  // self/null = root
   });
   POLY_RETURN_IF_ERROR(status);

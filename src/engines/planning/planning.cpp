@@ -53,11 +53,12 @@ StatusOr<PlanningEngine> PlanningEngine::Create(TransactionManager* tm,
   return PlanningEngine(tm, plan_table, version_col, value_col);
 }
 
-std::vector<uint64_t> PlanningEngine::VersionRows(int64_t version) const {
+std::vector<uint64_t> PlanningEngine::VersionRows(const ColumnTable::ReadGuard& g,
+                                                  const ReadView& view,
+                                                  int64_t version) const {
   std::vector<uint64_t> rows;
-  ReadView view = tm_->AutoCommitView();
-  table_->ScanVisible(view, [&](uint64_t r) {
-    Value v = table_->GetValue(r, version_col_);
+  g.ScanVisible(view, [&](uint64_t r) {
+    Value v = g.GetValue(r, version_col_);
     if (!v.is_null() && v.AsInt() == version) rows.push_back(r);
   });
   return rows;
@@ -65,17 +66,19 @@ std::vector<uint64_t> PlanningEngine::VersionRows(int64_t version) const {
 
 StatusOr<uint64_t> PlanningEngine::CopyVersion(int64_t from_version, int64_t to_version,
                                                double factor) {
-  if (!VersionRows(to_version).empty()) {
+  ReadView view = tm_->AutoCommitView();
+  ColumnTable::ReadGuard g(table_);
+  if (!VersionRows(g, view, to_version).empty()) {
     return Status::AlreadyExists("plan version " + std::to_string(to_version) +
                                  " already populated");
   }
-  std::vector<uint64_t> source = VersionRows(from_version);
+  std::vector<uint64_t> source = VersionRows(g, view, from_version);
   if (source.empty()) {
     return Status::NotFound("plan version " + std::to_string(from_version) + " empty");
   }
   auto txn = tm_->Begin();
   for (uint64_t r : source) {
-    Row row = table_->GetRow(r);
+    Row row = g.GetRow(r);
     row[version_col_] = Value::Int(to_version);
     row[value_col_] = Value::Dbl(row[value_col_].NumericValue() * factor);
     POLY_RETURN_IF_ERROR(tm_->Insert(txn.get(), table_, row));
@@ -85,14 +88,16 @@ StatusOr<uint64_t> PlanningEngine::CopyVersion(int64_t from_version, int64_t to_
 }
 
 Status PlanningEngine::DisaggregateVersion(int64_t version, double new_total) {
-  std::vector<uint64_t> rows = VersionRows(version);
+  ReadView view = tm_->AutoCommitView();
+  ColumnTable::ReadGuard g(table_);
+  std::vector<uint64_t> rows = VersionRows(g, view, version);
   if (rows.empty()) {
     return Status::NotFound("plan version " + std::to_string(version) + " empty");
   }
   std::vector<double> weights;
   weights.reserve(rows.size());
   for (uint64_t r : rows) {
-    weights.push_back(table_->GetValue(r, value_col_).NumericValue());
+    weights.push_back(g.GetValue(r, value_col_).NumericValue());
   }
   // All-zero plans disaggregate uniformly.
   double sum = 0;
@@ -101,7 +106,7 @@ Status PlanningEngine::DisaggregateVersion(int64_t version, double new_total) {
   POLY_ASSIGN_OR_RETURN(std::vector<double> parts, Disaggregate(new_total, weights));
   auto txn = tm_->Begin();
   for (size_t i = 0; i < rows.size(); ++i) {
-    Row row = table_->GetRow(rows[i]);
+    Row row = g.GetRow(rows[i]);
     row[value_col_] = Value::Dbl(parts[i]);
     POLY_RETURN_IF_ERROR(tm_->Update(txn.get(), table_, rows[i], row));
   }
@@ -109,27 +114,31 @@ Status PlanningEngine::DisaggregateVersion(int64_t version, double new_total) {
 }
 
 StatusOr<double> PlanningEngine::VersionTotal(int64_t version) const {
-  std::vector<uint64_t> rows = VersionRows(version);
+  ReadView view = tm_->AutoCommitView();
+  ColumnTable::ReadGuard g(table_);
+  std::vector<uint64_t> rows = VersionRows(g, view, version);
   if (rows.empty()) {
     return Status::NotFound("plan version " + std::to_string(version) + " empty");
   }
   double total = 0;
-  for (uint64_t r : rows) total += table_->GetValue(r, value_col_).NumericValue();
+  for (uint64_t r : rows) total += g.GetValue(r, value_col_).NumericValue();
   return total;
 }
 
 std::vector<int64_t> PlanningEngine::Versions() const {
   std::set<int64_t> versions;
   ReadView view = tm_->AutoCommitView();
-  table_->ScanVisible(view, [&](uint64_t r) {
-    Value v = table_->GetValue(r, version_col_);
+  ColumnTable::ReadGuard g(table_);
+  g.ScanVisible(view, [&](uint64_t r) {
+    Value v = g.GetValue(r, version_col_);
     if (!v.is_null()) versions.insert(v.AsInt());
   });
   return std::vector<int64_t>(versions.begin(), versions.end());
 }
 
 uint64_t PlanningEngine::VersionRowCount(int64_t version) const {
-  return VersionRows(version).size();
+  ReadView view = tm_->AutoCommitView();
+  return VersionRows(ColumnTable::ReadGuard(table_), view, version).size();
 }
 
 }  // namespace poly

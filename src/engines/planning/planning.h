@@ -55,8 +55,10 @@ class PlanningEngine {
                  size_t value_col)
       : tm_(tm), table_(table), version_col_(version_col), value_col_(value_col) {}
 
-  /// Visible row ids of a version under a fresh snapshot.
-  std::vector<uint64_t> VersionRows(int64_t version) const;
+  /// Row ids of a version visible in `view`, read through `g`, which the
+  /// caller takes after `view` and reads the rows' values through.
+  std::vector<uint64_t> VersionRows(const ColumnTable::ReadGuard& g,
+                                    const ReadView& view, int64_t version) const;
 
   TransactionManager* tm_;
   ColumnTable* table_;

@@ -85,10 +85,11 @@ StatusOr<CsrMatrix> CsrMatrix::FromTable(const ColumnTable& table, const ReadVie
   POLY_ASSIGN_OR_RETURN(size_t vc, table.schema().IndexOf(value_column));
   std::vector<Triplet> triplets;
   uint64_t max_row = 0, max_col = 0;
-  table.ScanVisible(view, [&](uint64_t r) {
-    Value rv = table.GetValue(r, rc);
-    Value cv = table.GetValue(r, cc);
-    Value vv = table.GetValue(r, vc);
+  ColumnTable::ReadGuard g(&table);
+  g.ScanVisible(view, [&](uint64_t r) {
+    Value rv = g.GetValue(r, rc);
+    Value cv = g.GetValue(r, cc);
+    Value vv = g.GetValue(r, vc);
     if (rv.is_null() || cv.is_null() || vv.is_null()) return;
     uint64_t row = static_cast<uint64_t>(rv.AsInt());
     uint64_t col = static_cast<uint64_t>(cv.AsInt());

@@ -13,10 +13,11 @@ StatusOr<TextEngine> TextEngine::Create(ColumnTable* table, const std::string& c
 }
 
 uint64_t TextEngine::Refresh() {
-  uint64_t n = table_->num_versions();
+  ColumnTable::ReadGuard g(table_);
+  uint64_t n = g.size();
   uint64_t indexed = 0;
   for (uint64_t r = indexed_until_; r < n; ++r) {
-    Value v = table_->GetValue(r, column_);
+    Value v = g.GetValue(r, column_);
     if (v.is_null()) continue;
     index_.AddDocument(r, v.AsString());
     ++indexed;
@@ -26,7 +27,7 @@ uint64_t TextEngine::Refresh() {
 }
 
 double TextEngine::RowSentiment(uint64_t row) const {
-  Value v = table_->GetValue(row, column_);
+  Value v = ColumnTable::ReadGuard(table_).GetValue(row, column_);
   if (v.is_null()) return 0;
   return SentimentScore(v.AsString());
 }
@@ -39,8 +40,9 @@ StatusOr<uint64_t> TextEngine::ExtractEntitiesTo(TransactionManager* tm,
   }
   auto txn = tm->Begin();
   uint64_t written = 0;
+  ColumnTable::ReadGuard g(table_);
   for (uint64_t r = 0; r < indexed_until_; ++r) {
-    Value v = table_->GetValue(r, column_);
+    Value v = g.GetValue(r, column_);
     if (v.is_null()) continue;
     for (const Entity& e : ExtractEntities(v.AsString())) {
       POLY_RETURN_IF_ERROR(tm->Insert(

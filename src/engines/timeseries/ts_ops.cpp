@@ -171,13 +171,14 @@ StatusOr<TimeSeries> SeriesFromTable(const ColumnTable& table, const ReadView& v
     key_col = static_cast<int>(k);
   }
   std::vector<std::pair<int64_t, double>> points;
-  table.ScanVisible(view, [&](uint64_t r) {
+  ColumnTable::ReadGuard g(&table);
+  g.ScanVisible(view, [&](uint64_t r) {
     if (key_col >= 0) {
-      Value kv = table.GetValue(r, static_cast<size_t>(key_col));
+      Value kv = g.GetValue(r, static_cast<size_t>(key_col));
       if (kv.is_null() || kv.AsInt() != key) return;
     }
-    Value tv = table.GetValue(r, ts_col);
-    Value vv = table.GetValue(r, val_col);
+    Value tv = g.GetValue(r, ts_col);
+    Value vv = g.GetValue(r, val_col);
     if (tv.is_null() || vv.is_null()) return;
     int64_t t = tv.type() == DataType::kTimestamp ? tv.AsTimestamp() : tv.AsInt();
     points.emplace_back(t, vv.NumericValue());

@@ -37,8 +37,9 @@ StatusOr<std::vector<Row>> RemoteTableSource::Scan(const ExprPtr& predicate) {
   POLY_ASSIGN_OR_RETURN(ColumnTable * t, db_->GetTable(table_));
   ReadView view = tm_->AutoCommitView();
   std::vector<Row> rows;
-  t->ScanVisible(view, [&](uint64_t r) {
-    Row row = t->GetRow(r);
+  ColumnTable::ReadGuard g(t);
+  g.ScanVisible(view, [&](uint64_t r) {
+    Row row = g.GetRow(r);
     // Pushdown: the remote side filters before shipping.
     if (pushdown_ && predicate && !predicate->EvalBool(row)) return;
     bytes_ += EstimateRowBytes(row);

@@ -106,8 +106,9 @@ StatusOr<std::pair<Schema, std::vector<Row>>> DfsTableConnector::ParseTsv(
 Status DfsTableConnector::Export(const ColumnTable& table, const ReadView& view,
                                  const std::string& path) {
   std::vector<Row> rows;
-  table.ScanVisible(view, [&](uint64_t r) { rows.push_back(table.GetRow(r)); });
-  return dfs_->Write(path, RenderTsv(table.schema(), rows));
+  ColumnTable::ReadGuard g(&table);
+  g.ScanVisible(view, [&](uint64_t r) { rows.push_back(g.GetRow(r)); });
+  return dfs_->Write(path, RenderTsv(g.schema(), rows));
 }
 
 StatusOr<ColumnTable*> DfsTableConnector::Import(const std::string& path,

@@ -1091,10 +1091,12 @@ ScanSpec MakeScanSpec(const ColumnTable::ReadGuard& guard, const ExprPtr& predic
 }
 
 /// Selects the rows of [begin, end) visible in `view` that pass `spec`
-/// into `out`, counting into `stats` (which may be a worker-local partial).
-/// One morsel of a scan. The guard is immutable and shared by every morsel
-/// of one table scan: one pin covers stamps and values for the whole
-/// fan-out (DESIGN.md §12.5).
+/// into `out`, adding its counts to `stats` (which may be a worker-local
+/// partial) once, at the end: workers on neighbouring morsels would
+/// otherwise share the partials' cache line on every row. One morsel of a
+/// scan. The guard is immutable and shared by every morsel of one table
+/// scan: one pin covers stamps and values for the whole fan-out
+/// (DESIGN.md §12.5).
 void ScanMorsel(const ColumnTable::ReadGuard& guard, const ReadView& view,
                 const ScanSpec& spec, uint64_t begin, uint64_t end,
                 std::vector<uint64_t>* out, ExecStats* stats) {
@@ -1105,8 +1107,9 @@ void ScanMorsel(const ColumnTable::ReadGuard& guard, const ReadView& view,
     for (size_t c : cols) probe[c] = guard.GetValue(r, c);
     return pred.EvalBool(probe);
   };
+  uint64_t scanned = 0, materialized = 0;
   guard.ScanVisibleRange(view, begin, end, [&](uint64_t r) {
-    ++stats->rows_scanned;
+    ++scanned;
     // Id-range conjuncts test main rows on value ids; a row past some
     // range column's main part evaluates the whole predicate on values.
     bool ids_only = true;
@@ -1123,21 +1126,17 @@ void ScanMorsel(const ColumnTable::ReadGuard& guard, const ReadView& view,
     } else if (spec.residual && !passes(*spec.residual, spec.residual_cols, r)) {
       return;
     }
-    ++stats->rows_materialized;
+    ++materialized;
     out->push_back(r);
   });
+  stats->rows_scanned += scanned;
+  stats->rows_materialized += materialized;
 }
 
 }  // namespace
 
 // Declared in executor.h; shared with the compiled path's access
 // classification.
-bool TryIdRangePredicate(const ColumnTable& table, const Expr& pred, size_t* col_out,
-                         uint64_t* lo_out, uint64_t* hi_out) {
-  ColumnTable::ReadGuard guard(&table);
-  return TryIdRangePredicate(guard, pred, col_out, lo_out, hi_out);
-}
-
 bool TryIdRangePredicate(const ColumnTable::ReadGuard& guard, const Expr& pred,
                          size_t* col_out, uint64_t* lo_out, uint64_t* hi_out) {
   if (pred.kind() != ExprKind::kCompare) return false;

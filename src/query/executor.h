@@ -31,11 +31,8 @@ struct ExecStats {
 /// materialization. Returns false if the shape does not match. Scans served
 /// this way are the OLTP-shaped "point read" signal for the tiering heat
 /// tracker; the interpreted scan executes the range, the compiled path
-/// calls this only to classify the access.
-bool TryIdRangePredicate(const ColumnTable& table, const Expr& pred, size_t* col_out,
-                         uint64_t* lo_out, uint64_t* hi_out);
-/// Same, against an already-pinned unified guard (the scan paths hold one
-/// guard for stamps + values and classify through it).
+/// calls this only to classify the access. Reads through the scan's guard,
+/// which holds one pin for stamps and values.
 bool TryIdRangePredicate(const ColumnTable::ReadGuard& guard, const Expr& pred,
                          size_t* col_out, uint64_t* lo_out, uint64_t* hi_out);
 

@@ -90,7 +90,7 @@ StatusOr<ResultSet> SoeNode::ExecuteLocal(const PlanPtr& plan) {
 StatusOr<uint64_t> SoeNode::PartitionRowCount(const std::string& table,
                                               size_t partition) const {
   POLY_ASSIGN_OR_RETURN(ColumnTable * t, db_.GetTable(PartitionTableName(table, partition)));
-  return t->CountVisible(LatestCommittedView());
+  return ColumnTable::ReadGuard(t).CountVisible(LatestCommittedView());
 }
 
 }  // namespace poly

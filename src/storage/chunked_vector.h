@@ -20,8 +20,8 @@ namespace poly {
 /// lifetime of the ChunkedVector itself.
 ///
 /// Thread model mirrors VersionStore:
-///  - any number of concurrent readers via Snap()/At(), each under an
-///    EpochGC pin when `gc` is non-null;
+///  - any number of concurrent readers, each reading through a Snapshot
+///    taken under an EpochGC pin when `gc` is non-null;
 ///  - exactly one logical writer at a time (Append); callers serialize
 ///    writers externally;
 ///  - with `gc == nullptr` the structure is single-threaded (standalone
@@ -66,11 +66,13 @@ class ChunkedVector {
   };
 
  public:
-  /// An immutable view taken under a pin: directory pointer (seq_cst, pairs
-  /// with the writer's seq_cst republish) + that directory's watermark.
-  /// Copyable and — unlike VersionStore::ReadGuard — free of mutable cache
-  /// state, so one Snapshot may be shared by many threads (the morsel
-  /// fan-out reads through a single table guard).
+  /// The read API: an immutable view taken under a pin, directory pointer
+  /// (seq_cst, pairs with the writer's seq_cst republish) + that
+  /// directory's watermark. Copyable and free of mutable cache state, so
+  /// one Snapshot may be shared by many threads (the morsel fan-out reads
+  /// through a single table guard). An element reference stays valid for
+  /// the lifetime of the ChunkedVector: chunks are never freed before the
+  /// destructor.
   class Snapshot {
    public:
     Snapshot() = default;
@@ -100,22 +102,6 @@ class ChunkedVector {
   Snapshot Snap() const {
     return Snapshot(dir_.load(std::memory_order_seq_cst), chunk_shift_,
                     chunk_mask_);
-  }
-
-  /// Single-element read under a pin. The reference stays valid for the
-  /// lifetime of the ChunkedVector (chunks are never freed before the
-  /// destructor), even after the pin is released.
-  const T& At(uint64_t i) const {
-    Directory* dir = dir_.load(std::memory_order_seq_cst);
-    return dir->chunks[i >> chunk_shift_].load(std::memory_order_acquire)
-               [i & chunk_mask_];
-  }
-
-  /// Published element count (acquire; usable without a pin for a bound
-  /// that was current at some point).
-  uint64_t Size() const {
-    return dir_.load(std::memory_order_seq_cst)
-        ->watermark.load(std::memory_order_acquire);
   }
 
   // ---- writer API: callers must serialize externally ---------------------

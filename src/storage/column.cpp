@@ -34,37 +34,12 @@ Value Column::Get(uint64_t row) const {
   return st->delta_dict.At(st->delta_ids.WriterAt(row - st->main_ids.size()));
 }
 
-uint64_t Column::size() const {
-  const State* st = state_.load(std::memory_order_acquire);
-  return st->main_ids.size() + st->delta_ids.WriterSize();
-}
-
 uint64_t Column::main_size() const {
   return state_.load(std::memory_order_acquire)->main_ids.size();
 }
 
 uint64_t Column::delta_size() const {
   return state_.load(std::memory_order_acquire)->delta_ids.WriterSize();
-}
-
-const SortedDictionary& Column::main_dictionary() const {
-  return state_.load(std::memory_order_acquire)->main_dict;
-}
-
-const DeltaDictionary& Column::delta_dictionary() const {
-  return state_.load(std::memory_order_acquire)->delta_dict;
-}
-
-uint64_t Column::MainId(uint64_t row) const {
-  return state_.load(std::memory_order_acquire)->main_ids.Get(row);
-}
-
-uint64_t Column::DeltaId(uint64_t i) const {
-  return state_.load(std::memory_order_acquire)->delta_ids.WriterAt(i);
-}
-
-void Column::DecodeMainIds(uint64_t begin, uint64_t end, uint64_t* out) const {
-  state_.load(std::memory_order_acquire)->main_ids.Decode(begin, end, out);
 }
 
 ColumnMergeStats Column::Merge(bool hint_generated_order) {

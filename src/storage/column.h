@@ -39,8 +39,10 @@ struct ColumnMergeStats {
 /// both generations (merge preserves row order).
 class Column {
  public:
-  /// `compress_main`: SOE nodes relax reference compression for cheaper
-  /// (more energy-efficient) decoding (§IV-A); false stores 64-bit IDs.
+  /// `compress_main`: false relaxes reference compression to 64-bit IDs,
+  /// trading size for cheaper decoding — the §IV-A trade for SOE nodes.
+  /// Only experiment E3 uses the relaxed mode; SOE nodes host compressed
+  /// tables like every other table.
   /// A null `gc` means single-threaded standalone use (tests): the column
   /// owns a private gc.
   explicit Column(bool compress_main = true, EpochGC* gc = nullptr);
@@ -66,11 +68,13 @@ class Column {
   /// resolve it.
   uint64_t Append(const Value& v);
 
-  /// A consistent view of the column taken under an EpochGC pin: the state
-  /// pointer (seq_cst, pairs with Merge's republish), a delta row-id
-  /// snapshot, and — taken after it — a delta dictionary snapshot covering
-  /// every id the row snapshot can yield. No mutable cache: one Reader may
-  /// be shared by all threads of a morsel fan-out.
+  /// The read API: a consistent view of the column taken under an EpochGC
+  /// pin (a table ReadGuard holds one; a standalone single-threaded column
+  /// needs none). It holds the state pointer (seq_cst, pairs with Merge's
+  /// republish), a delta row-id snapshot, and — taken after it — a delta
+  /// dictionary snapshot covering every id the row snapshot can yield. No
+  /// mutable cache: one Reader may be shared by all threads of a morsel
+  /// fan-out.
   class Reader {
    public:
     Reader() = default;
@@ -107,30 +111,14 @@ class Column {
     uint64_t main_n_ = 0;
   };
 
-  /// Caller must hold a pin on the shared gc (a table ReadGuard does).
-  Reader SnapshotForRead() const { return Reader(this); }
-
-  // ---- writer-consistent accessors ---------------------------------------
-  // Safe from the writer or when the column is quiesced (single-threaded
-  // tests, load/merge phases). Concurrent readers use a Reader instead.
+  // ---- writer-side accessors ---------------------------------------------
+  // For the writer only (ColumnTable::Merge and Vacuum hold the write
+  // latch). Readers take a Reader under a pin instead.
 
   /// Value at global row position.
   Value Get(uint64_t row) const;
-
-  uint64_t size() const;
   uint64_t main_size() const;
   uint64_t delta_size() const;
-
-  const SortedDictionary& main_dictionary() const;
-  const DeltaDictionary& delta_dictionary() const;
-
-  /// Raw main value ID (row < main_size()).
-  uint64_t MainId(uint64_t row) const;
-  /// Raw delta value ID (index into delta rows).
-  uint64_t DeltaId(uint64_t i) const;
-
-  /// Decodes main value IDs [begin, end) into `out`.
-  void DecodeMainIds(uint64_t begin, uint64_t end, uint64_t* out) const;
 
   /// Merges delta into main by building and atomically publishing a fresh
   /// State (old one retired through the gc — a pinned reader keeps it).

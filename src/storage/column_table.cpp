@@ -114,49 +114,12 @@ void ColumnTable::ClearDeleteStamp(uint64_t row) {
   state_.load(std::memory_order_relaxed)->versions->WriterStoreDts(row, kNoStamp);
 }
 
-uint64_t ColumnTable::cts(uint64_t row) const {
-  EpochPin pin(&gc_);
-  const TableState* st = state_.load(std::memory_order_seq_cst);
-  return st->versions->SnapUnderPin().cts(row);
+uint64_t ColumnTable::WriterLoadCts(uint64_t row) const {
+  return state_.load(std::memory_order_relaxed)->versions->WriterLoadCts(row);
 }
 
-uint64_t ColumnTable::dts(uint64_t row) const {
-  EpochPin pin(&gc_);
-  const TableState* st = state_.load(std::memory_order_seq_cst);
-  return st->versions->SnapUnderPin().dts(row);
-}
-
-uint64_t ColumnTable::num_versions() const {
-  EpochPin pin(&gc_);
-  const TableState* st = state_.load(std::memory_order_seq_cst);
-  return st->versions->SnapUnderPin().size();
-}
-
-size_t ColumnTable::num_columns() const {
-  EpochPin pin(&gc_);
-  return state_.load(std::memory_order_seq_cst)->cols.size();
-}
-
-Value ColumnTable::GetValue(uint64_t row, size_t col) const {
-  EpochPin pin(&gc_);
-  const TableState* st = state_.load(std::memory_order_seq_cst);
-  return Column::Reader(st->cols[col].get()).Get(row);
-}
-
-Row ColumnTable::GetRow(uint64_t row) const {
-  ReadGuard g(this);
-  return g.GetRow(row);
-}
-
-uint64_t ColumnTable::CountVisible(const ReadView& view) const {
-  return CountVisibleRange(view, 0, ~0ull);
-}
-
-uint64_t ColumnTable::CountVisibleRange(const ReadView& view, uint64_t begin,
-                                        uint64_t end) const {
-  uint64_t count = 0;
-  ScanVisibleRange(view, begin, end, [&](uint64_t) { ++count; });
-  return count;
+uint64_t ColumnTable::WriterLoadDts(uint64_t row) const {
+  return state_.load(std::memory_order_relaxed)->versions->WriterLoadDts(row);
 }
 
 Status ColumnTable::AddColumn(ColumnDef def) {

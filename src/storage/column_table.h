@@ -37,7 +37,8 @@ struct TableMergeStats {
 /// live in chunked storage that never moves published elements, and a
 /// unified ReadGuard pins the table's EpochGC once so nothing it snapshots
 /// is freed underneath it. AddColumn/Vacuum republish a fresh TableState
-/// and retire the old one; a pinned reader keeps its generation.
+/// and retire the old one; a pinned reader keeps its generation. The guard
+/// is the one read API: a scan or lookup takes one, hoisted out of its loop.
 class ColumnTable {
  public:
   ColumnTable(std::string name, Schema schema, bool compress_main = true);
@@ -104,18 +105,20 @@ class ColumnTable {
     }
 
     /// Invokes fn(row_id) for every version in [begin, end) visible in
-    /// `view`, in ascending row order; `end` clamps to the watermark.
+    /// `view`, in ascending row order; `end` clamps to the watermark. Morsels
+    /// over disjoint ranges cover exactly the rows a full ScanVisible would.
     template <typename F>
     void ScanVisibleRange(const ReadView& view, uint64_t begin, uint64_t end,
                           F&& fn) const {
-      if (end > stamps_.size()) end = stamps_.size();
-      for (uint64_t r = begin; r < end; ++r) {
-        if (view.RowVisible(stamps_.cts(r), stamps_.dts(r))) fn(r);
-      }
+      stamps_.ScanVisibleRange(view, begin, end, std::forward<F>(fn));
     }
     template <typename F>
     void ScanVisible(const ReadView& view, F&& fn) const {
-      ScanVisibleRange(view, 0, ~0ull, std::forward<F>(fn));
+      stamps_.ScanVisibleRange(view, 0, stamps_.size(), std::forward<F>(fn));
+    }
+    /// Number of versions visible in `view`.
+    uint64_t CountVisible(const ReadView& view) const {
+      return stamps_.CountVisible(view);
     }
 
    private:
@@ -142,58 +145,17 @@ class ColumnTable {
   void ResolveDeleteStamp(uint64_t row, uint64_t commit_ts);
   void ClearDeleteStamp(uint64_t row);
 
-  /// Latch-free single-stamp reads (briefly pin an epoch slot). Hot loops
-  /// should take Read() once instead.
-  uint64_t cts(uint64_t row) const;
-  uint64_t dts(uint64_t row) const;
+  /// Writer-side stamp reads: the caller holds the write latch, so no pin is
+  /// needed and the stamps cannot change underneath it. Readers use a
+  /// ReadGuard.
+  uint64_t WriterLoadCts(uint64_t row) const;
+  uint64_t WriterLoadDts(uint64_t row) const;
 
-  /// Total published row versions (visible or not) — the version store's
-  /// watermark, so concurrent readers never see a partially-written row.
-  uint64_t num_versions() const;
-  size_t num_columns() const;
-
-  /// Latch-free single-value reads (briefly pin an epoch slot). Hot loops
-  /// should take Read() once instead.
-  Value GetValue(uint64_t row, size_t col) const;
-  Row GetRow(uint64_t row) const;
-
-  /// Writer-consistent column access (quiesced callers: tests, benches,
-  /// single-threaded load phases). Concurrent readers use Read().col().
+  /// Writer-side column access, for footprint introspection (MemoryBytes)
+  /// and quiesced callers. Values are read through Read().col().
   const Column& column(size_t col) const {
     return *state_.load(std::memory_order_acquire)->cols[col];
   }
-
-  /// Invokes fn(row_id) for every version visible in `view`.
-  template <typename F>
-  void ScanVisible(const ReadView& view, F&& fn) const {
-    ScanVisibleRange(view, 0, ~0ull, std::forward<F>(fn));
-  }
-
-  /// Chunked read API for morsel-driven scans: invokes fn(row_id) for every
-  /// version in [begin, end) visible in `view`, in ascending row order.
-  /// `end` is clamped to the published watermark. Latch-free and safe
-  /// against concurrent writers (one epoch pin per call, DESIGN.md §12);
-  /// morsels over disjoint ranges cover exactly the rows a full ScanVisible
-  /// would. Stamp-only — callers that also read values take one ReadGuard
-  /// and use its ScanVisibleRange instead.
-  template <typename F>
-  void ScanVisibleRange(const ReadView& view, uint64_t begin, uint64_t end,
-                        F&& fn) const {
-    EpochPin pin(&gc_);
-    const TableState* st = state_.load(std::memory_order_seq_cst);
-    VersionStore::Snapshot stamps = st->versions->SnapUnderPin();
-    if (end > stamps.size()) end = stamps.size();
-    for (uint64_t r = begin; r < end; ++r) {
-      if (view.RowVisible(stamps.cts(r), stamps.dts(r))) fn(r);
-    }
-  }
-
-  /// Number of versions visible in `view`.
-  uint64_t CountVisible(const ReadView& view) const;
-
-  /// Number of versions in [begin, end) visible in `view`.
-  uint64_t CountVisibleRange(const ReadView& view, uint64_t begin,
-                             uint64_t end) const;
 
   /// Appends a new column; existing row versions read NULL in it. This is
   /// the §II-H flexible-table mechanism: "metadata about unknown columns

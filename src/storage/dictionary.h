@@ -75,9 +75,8 @@ class DeltaDictionary {
   /// Writer-only (walks the writer-private hash index).
   std::optional<uint64_t> Lookup(const Value& v) const;
 
-  /// Safe for any published id under a pin; the reference stays valid for
-  /// the dictionary's lifetime (chunks never move).
-  const Value& At(uint64_t id) const { return values_.At(id); }
+  /// Writer-side lookup by id; readers resolve ids through Snap().
+  const Value& At(uint64_t id) const { return values_.WriterAt(id); }
   /// Writer-side entry count.
   uint64_t size() const { return values_.WriterSize(); }
 

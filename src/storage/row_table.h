@@ -23,7 +23,8 @@ namespace poly {
 /// §12.5): rows live in a ChunkedVector whose chunks never move once
 /// published, stamps and rows share one EpochGC, and the unified ReadGuard
 /// pins once for both. The writer stores the row before appending the
-/// version, so the stamp watermark bounds fully-written rows.
+/// version, so the stamp watermark bounds fully-written rows. The guard is
+/// the one read API: a scan or lookup takes one, hoisted out of its loop.
 class RowTable {
  public:
   RowTable(std::string name, Schema schema)
@@ -36,7 +37,8 @@ class RowTable {
 
   /// The unified guard: one pin, a stamp snapshot, and — taken after it, so
   /// every stamped row is covered — a row snapshot. Immutable; shareable
-  /// across threads.
+  /// across threads. A row reference stays valid for the table's lifetime
+  /// (row chunks are never freed before the destructor).
   class ReadGuard {
    public:
     explicit ReadGuard(const RowTable* t) : gc_(&t->gc_), slot_(gc_->Pin()) {
@@ -54,16 +56,11 @@ class RowTable {
     Value GetValue(uint64_t r, size_t col) const { return rows_[r][col]; }
 
     template <typename F>
-    void ScanVisibleRange(const ReadView& view, uint64_t begin, uint64_t end,
-                          F&& fn) const {
-      if (end > stamps_.size()) end = stamps_.size();
-      for (uint64_t r = begin; r < end; ++r) {
-        if (view.RowVisible(stamps_.cts(r), stamps_.dts(r))) fn(r);
-      }
-    }
-    template <typename F>
     void ScanVisible(const ReadView& view, F&& fn) const {
-      ScanVisibleRange(view, 0, ~0ull, std::forward<F>(fn));
+      stamps_.ScanVisibleRange(view, 0, stamps_.size(), std::forward<F>(fn));
+    }
+    uint64_t CountVisible(const ReadView& view) const {
+      return stamps_.CountVisible(view);
     }
 
    private:
@@ -85,33 +82,9 @@ class RowTable {
   }
   void ClearDeleteStamp(uint64_t row) { versions_.WriterStoreDts(row, kNoStamp); }
 
-  uint64_t cts(uint64_t row) const { return versions_.ReadCts(row); }
-  uint64_t dts(uint64_t row) const { return versions_.ReadDts(row); }
-  uint64_t num_versions() const { return versions_.size(); }
-
-  /// Latch-free single-row reads (briefly pin). The reference stays valid
-  /// for the table's lifetime — row chunks are never freed before the
-  /// destructor — but hot loops should take Read() once instead.
-  const Row& GetRow(uint64_t row) const {
-    EpochPin pin(&gc_);
-    return rows_.At(row);
-  }
-  Value GetValue(uint64_t row, size_t col) const { return GetRow(row)[col]; }
-
-  template <typename F>
-  void ScanVisible(const ReadView& view, F&& fn) const {
-    EpochPin pin(&gc_);
-    VersionStore::Snapshot stamps = versions_.SnapUnderPin();
-    for (uint64_t r = 0; r < stamps.size(); ++r) {
-      if (view.RowVisible(stamps.cts(r), stamps.dts(r))) fn(r);
-    }
-  }
-
-  uint64_t CountVisible(const ReadView& view) const {
-    uint64_t n = 0;
-    ScanVisible(view, [&](uint64_t) { ++n; });
-    return n;
-  }
+  /// Writer-side stamp reads (the caller holds the write latch).
+  uint64_t WriterLoadCts(uint64_t row) const { return versions_.WriterLoadCts(row); }
+  uint64_t WriterLoadDts(uint64_t row) const { return versions_.WriterLoadDts(row); }
 
   size_t MemoryBytes() const;
 

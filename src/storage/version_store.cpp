@@ -21,7 +21,7 @@ VersionStore::VersionStore(uint64_t chunk_rows, EpochGC* gc)
       dir_(new Directory(kInitialDirectoryChunks)) {}
 
 VersionStore::~VersionStore() {
-  // Contract: no live ReadGuards at destruction. Entries this store retired
+  // Contract: no live readers at destruction. Entries this store retired
   // are freed by the gc (the owned one's destructor runs right after this,
   // a shared one when its table tears down); the current directory and its
   // chunks are freed here.
@@ -139,13 +139,12 @@ size_t VersionStore::ReclaimExpired() { return gc_->ReclaimExpired(); }
 size_t VersionStore::retired_count() const { return gc_->retired_count(); }
 
 uint64_t VersionStore::directory_capacity() const {
-  ReadGuard g(this);
-  return g.dir_->capacity;
+  EpochPin pin(gc_);
+  return dir_.load(std::memory_order_seq_cst)->capacity;
 }
 
 size_t VersionStore::MemoryBytes() const {
-  ReadGuard g(this);
-  return g.dir_->capacity * sizeof(std::atomic<Stamp*>) +
+  return directory_capacity() * sizeof(std::atomic<Stamp*>) +
          num_chunks_.load(std::memory_order_relaxed) * chunk_rows_ * sizeof(Stamp);
 }
 

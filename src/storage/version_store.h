@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "storage/epoch_gc.h"
+#include "storage/mvcc.h"
 
 namespace poly {
 
@@ -20,17 +21,17 @@ namespace poly {
 /// number of fully-written rows is an atomically published *watermark* that
 /// readers bound their scans by. Directories and chunks retired by growth,
 /// Vacuum, or Rebuild are reclaimed with an epoch scheme (EpochGC): a reader
-/// pins an epoch slot for the duration of a ReadGuard, and retired memory is
-/// freed only once every pinned epoch has moved past the retirement epoch —
-/// so reclamation never frees a chunk a reader still holds.
+/// pins an epoch slot for as long as it reads a Snapshot, and retired memory
+/// is freed only once every pinned epoch has moved past the retirement
+/// epoch — so reclamation never frees a chunk a reader still holds.
 ///
 /// The epoch machinery lives in EpochGC and may be *shared*: a table passes
 /// its own gc so one pin covers stamps AND value chunks (DESIGN.md §12.5);
 /// standalone VersionStores (unit tests) default to an internally owned gc.
 ///
 /// Thread model:
-///  - any number of concurrent readers, latch-free (ReadGuard / size() /
-///    ReadCts() / ReadDts()); a reader never takes a mutex;
+///  - any number of concurrent readers, latch-free: each pins the gc and
+///    reads through a Snapshot; a reader never takes a mutex;
 ///  - exactly one logical writer at a time (Append / WriterStore* / Rebuild);
 ///    callers serialize writers externally (the TransactionManager's write
 ///    latch, or single-threaded load/merge phases);
@@ -77,11 +78,11 @@ class VersionStore {
   };
 
  public:
-  /// A pin-free stamp view: directory + watermark snapshot. The caller must
+  /// The read API: a stamp view of directory + watermark. The caller must
   /// hold a pin on the associated EpochGC for as long as the Snapshot is
-  /// used (a table's unified ReadGuard pins once and snapshots stamps and
-  /// every value structure under it). Copyable, no mutable cache — safe to
-  /// share across the morsel fan-out.
+  /// used (a table's ReadGuard pins once and snapshots stamps and every
+  /// value structure under it). Copyable, no mutable cache — safe to share
+  /// across the morsel fan-out.
   class Snapshot {
    public:
     Snapshot() = default;
@@ -92,6 +93,24 @@ class VersionStore {
     }
     uint64_t dts(uint64_t row) const {
       return StampAt(row)->dts.load(std::memory_order_relaxed);
+    }
+
+    /// Invokes fn(row) for every version in [begin, end) visible in `view`,
+    /// in ascending row order; `end` clamps to the watermark. This is the
+    /// one loop that tests stamps against a ReadView: both table guards
+    /// scan and count through it.
+    template <typename F>
+    void ScanVisibleRange(const ReadView& view, uint64_t begin, uint64_t end,
+                          F&& fn) const {
+      if (end > size_) end = size_;
+      for (uint64_t r = begin; r < end; ++r) {
+        if (view.RowVisible(cts(r), dts(r))) fn(r);
+      }
+    }
+    uint64_t CountVisible(const ReadView& view) const {
+      uint64_t n = 0;
+      ScanVisibleRange(view, 0, size_, [&](uint64_t) { ++n; });
+      return n;
     }
 
    private:
@@ -113,66 +132,14 @@ class VersionStore {
     uint64_t mask_ = 0;
   };
 
-  /// Caller must already hold a pin on the shared gc.
+  /// Caller must already hold a pin on the shared gc (a table's ReadGuard
+  /// does). The seq_cst load pairs with the seq_cst directory publish and
+  /// the reclaimer's slot scan (DESIGN.md §12.4): a reader whose pin the
+  /// reclaimer did not observe is guaranteed to load the *new* directory.
   Snapshot SnapUnderPin() const {
     return Snapshot(dir_.load(std::memory_order_seq_cst), chunk_shift_,
                     chunk_mask_);
   }
-
-  /// Pins an epoch slot and snapshots the directory + watermark. All reads
-  /// through one guard see a consistent prefix of the version history; the
-  /// guard must not outlive the VersionStore. Cheap: one CAS to pin, one
-  /// store to unpin.
-  class ReadGuard {
-   public:
-    explicit ReadGuard(const VersionStore* vs) : vs_(vs) {
-      slot_ = vs_->gc_->Pin();
-      // seq_cst pairs with the seq_cst directory publish + slot scan in the
-      // writer (see DESIGN.md §12.3): a reader whose pin the reclaimer did
-      // not observe is guaranteed to load the *new* directory here.
-      dir_ = vs_->dir_.load(std::memory_order_seq_cst);
-      size_ = dir_->watermark.load(std::memory_order_acquire);
-    }
-    ~ReadGuard() { vs_->gc_->Unpin(slot_); }
-    ReadGuard(const ReadGuard&) = delete;
-    ReadGuard& operator=(const ReadGuard&) = delete;
-
-    /// Number of rows this guard may read: the watermark at pin time.
-    uint64_t size() const { return size_; }
-    uint64_t cts(uint64_t row) const {
-      return StampAt(row)->cts.load(std::memory_order_relaxed);
-    }
-    uint64_t dts(uint64_t row) const {
-      return StampAt(row)->dts.load(std::memory_order_relaxed);
-    }
-
-   private:
-    friend class VersionStore;
-
-    const Stamp* StampAt(uint64_t row) const {
-      uint64_t ci = row >> vs_->chunk_shift_;
-      if (ci != cached_index_) {
-        cached_chunk_ = dir_->chunks[ci].load(std::memory_order_acquire);
-        cached_index_ = ci;
-      }
-      return cached_chunk_ + (row & vs_->chunk_mask_);
-    }
-
-    const VersionStore* vs_;
-    const Directory* dir_;
-    int slot_;
-    uint64_t size_;
-    mutable uint64_t cached_index_ = ~0ull;
-    mutable const Stamp* cached_chunk_ = nullptr;
-  };
-
-  ReadGuard Read() const { return ReadGuard(this); }
-
-  /// Published row count (latch-free; pins briefly).
-  uint64_t size() const { return ReadGuard(this).size(); }
-  /// Single-stamp latch-free reads (row must be < size()).
-  uint64_t ReadCts(uint64_t row) const { return ReadGuard(this).cts(row); }
-  uint64_t ReadDts(uint64_t row) const { return ReadGuard(this).dts(row); }
 
   // ---- writer API: callers must serialize externally ---------------------
 
@@ -187,13 +154,13 @@ class VersionStore {
   void WriterStoreDts(uint64_t row, uint64_t v);
   uint64_t WriterLoadCts(uint64_t row) const;
   uint64_t WriterLoadDts(uint64_t row) const;
-  /// Row count as the writer knows it (== size(); no pin needed because the
-  /// caller holds the write latch).
+  /// Row count as the writer knows it (== the published watermark; no pin
+  /// needed because the caller holds the write latch).
   uint64_t WriterSize() const { return size_; }
 
   /// Replaces the whole store with `stamps` (Vacuum's renumbering). The old
   /// directory and all its chunks are retired, not freed: a concurrent
-  /// ReadGuard keeps reading the pre-rebuild history until it unpins.
+  /// reader keeps its Snapshot of the pre-rebuild history until it unpins.
   void Rebuild(const std::vector<std::pair<uint64_t, uint64_t>>& stamps);
 
   /// Frees retired directories/chunks whose retirement epoch every pinned

@@ -20,6 +20,13 @@ enum class RedoKind : uint8_t {
   kCommit = 4,
 };
 
+/// Storage kind of a table, carried by its create record so recovery
+/// rebuilds the table it logged.
+enum class TableKind : uint8_t {
+  kColumn = 0,
+  kRow = 1,
+};
+
 /// Append-only redo log, either in memory or in a file (so recovery can be
 /// exercised across a simulated crash). It is the only durable log file in
 /// Polyphony: each durable unit of the SOE shared log (src/soe/shared_log.h)

@@ -34,10 +34,12 @@ std::string EncodeCommit(uint64_t txn_id, uint64_t commit_ts) {
   return s.Release();
 }
 
-std::string EncodeCreateTable(const std::string& name, const Schema& schema) {
+std::string EncodeCreateTable(const std::string& name, const Schema& schema,
+                              TableKind kind) {
   Serializer s;
   s.PutU8(static_cast<uint8_t>(RedoKind::kCreateTable));
   s.PutString(name);
+  s.PutU8(static_cast<uint8_t>(kind));
   s.PutVarint(schema.num_columns());
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     const ColumnDef& def = schema.column(c);
@@ -69,45 +71,46 @@ Status TransactionManager::LogWrite(std::string record) {
   return unlogged_;
 }
 
-Status TransactionManager::Insert(Transaction* txn, ColumnTable* table,
-                                  const Row& values) {
+template <typename Table>
+Status TransactionManager::InsertInto(Transaction* txn, Table* table,
+                                      const Row& values) {
   if (txn->state_ != TxnState::kActive) return Status::InvalidArgument("txn not active");
   std::lock_guard<std::mutex> lock(write_mu_);
   POLY_ASSIGN_OR_RETURN(uint64_t row,
                         table->AppendVersion(values, MakeTxnStamp(txn->id_)));
   txn->writes_.push_back({table, row, /*is_delete=*/false});
   return LogWrite(EncodeInsert(txn->id_, table->name(), values));
+}
+
+template <typename Table>
+Status TransactionManager::DeleteFrom(Transaction* txn, Table* table, uint64_t row) {
+  if (txn->state_ != TxnState::kActive) return Status::InvalidArgument("txn not active");
+  std::lock_guard<std::mutex> lock(write_mu_);
+  // write_mu_ serializes every writer of the table, so the writer side
+  // reads the stamps without a pin.
+  if (!txn->View().RowVisible(table->WriterLoadCts(row), table->WriterLoadDts(row))) {
+    return Status::Aborted("row not visible to transaction");
+  }
+  POLY_RETURN_IF_ERROR(table->SetDeleteStamp(row, MakeTxnStamp(txn->id_)));
+  txn->writes_.push_back({table, row, /*is_delete=*/true});
+  return LogWrite(EncodeDelete(txn->id_, table->name(), row));
+}
+
+Status TransactionManager::Insert(Transaction* txn, ColumnTable* table,
+                                  const Row& values) {
+  return InsertInto(txn, table, values);
 }
 
 Status TransactionManager::Insert(Transaction* txn, RowTable* table, const Row& values) {
-  if (txn->state_ != TxnState::kActive) return Status::InvalidArgument("txn not active");
-  std::lock_guard<std::mutex> lock(write_mu_);
-  POLY_ASSIGN_OR_RETURN(uint64_t row,
-                        table->AppendVersion(values, MakeTxnStamp(txn->id_)));
-  txn->writes_.push_back({table, row, /*is_delete=*/false});
-  return LogWrite(EncodeInsert(txn->id_, table->name(), values));
+  return InsertInto(txn, table, values);
 }
 
 Status TransactionManager::Delete(Transaction* txn, ColumnTable* table, uint64_t row) {
-  if (txn->state_ != TxnState::kActive) return Status::InvalidArgument("txn not active");
-  std::lock_guard<std::mutex> lock(write_mu_);
-  if (!txn->View().RowVisible(table->cts(row), table->dts(row))) {
-    return Status::Aborted("row not visible to transaction");
-  }
-  POLY_RETURN_IF_ERROR(table->SetDeleteStamp(row, MakeTxnStamp(txn->id_)));
-  txn->writes_.push_back({table, row, /*is_delete=*/true});
-  return LogWrite(EncodeDelete(txn->id_, table->name(), row));
+  return DeleteFrom(txn, table, row);
 }
 
 Status TransactionManager::Delete(Transaction* txn, RowTable* table, uint64_t row) {
-  if (txn->state_ != TxnState::kActive) return Status::InvalidArgument("txn not active");
-  std::lock_guard<std::mutex> lock(write_mu_);
-  if (!txn->View().RowVisible(table->cts(row), table->dts(row))) {
-    return Status::Aborted("row not visible to transaction");
-  }
-  POLY_RETURN_IF_ERROR(table->SetDeleteStamp(row, MakeTxnStamp(txn->id_)));
-  txn->writes_.push_back({table, row, /*is_delete=*/true});
-  return LogWrite(EncodeDelete(txn->id_, table->name(), row));
+  return DeleteFrom(txn, table, row);
 }
 
 Status TransactionManager::Update(Transaction* txn, ColumnTable* table, uint64_t row,
@@ -181,9 +184,10 @@ void TransactionManager::AbortLocked(Transaction* txn) {
   active_snapshots_.erase(txn->id_);
 }
 
-Status TransactionManager::LogCreateTable(const std::string& name, const Schema& schema) {
+Status TransactionManager::LogCreateTable(const std::string& name, const Schema& schema,
+                                          TableKind kind) {
   std::lock_guard<std::mutex> lock(write_mu_);
-  return LogWrite(EncodeCreateTable(name, schema));
+  return LogWrite(EncodeCreateTable(name, schema, kind));
 }
 
 uint64_t TransactionManager::OldestActiveSnapshot() const {
@@ -194,16 +198,28 @@ uint64_t TransactionManager::OldestActiveSnapshot() const {
 }
 
 Status TransactionManager::Recover(const std::vector<std::string>& records,
-                                   Database* db) {
-  // Pass 1: commit timestamps of committed transactions.
+                                   Database* db, RecoveredState* state) {
+  using AnyTable = Transaction::AnyTable;
+  // The table a record names, whichever kind it is.
+  auto find_table = [db](const std::string& name) -> StatusOr<AnyTable> {
+    if (auto column = db->GetTable(name); column.ok()) return AnyTable(*column);
+    POLY_ASSIGN_OR_RETURN(RowTable * row, db->GetRowTable(name));
+    return AnyTable(row);
+  };
+  // Pass 1: commit timestamps of committed transactions, and the largest
+  // transaction id any record carries.
   std::unordered_map<uint64_t, uint64_t> commit_ts;
+  RecoveredState found;
   for (const auto& rec : records) {
     Deserializer d(rec);
     POLY_ASSIGN_OR_RETURN(uint8_t kind, d.GetU8());
+    if (static_cast<RedoKind>(kind) == RedoKind::kCreateTable) continue;
+    POLY_ASSIGN_OR_RETURN(uint64_t txn_id, d.GetU64());
+    found.last_txn_id = std::max(found.last_txn_id, txn_id);
     if (static_cast<RedoKind>(kind) == RedoKind::kCommit) {
-      POLY_ASSIGN_OR_RETURN(uint64_t txn_id, d.GetU64());
       POLY_ASSIGN_OR_RETURN(uint64_t ts, d.GetU64());
       commit_ts[txn_id] = ts;
+      found.last_commit_ts = std::max(found.last_commit_ts, ts);
     }
   }
   // Pass 2: replay. Inserts/deletes of committed txns are applied with their
@@ -216,6 +232,7 @@ Status TransactionManager::Recover(const std::vector<std::string>& records,
     switch (kind) {
       case RedoKind::kCreateTable: {
         POLY_ASSIGN_OR_RETURN(std::string name, d.GetString());
+        POLY_ASSIGN_OR_RETURN(uint8_t table_kind, d.GetU8());
         POLY_ASSIGN_OR_RETURN(uint64_t ncols, d.GetVarint());
         Schema schema;
         for (uint64_t c = 0; c < ncols; ++c) {
@@ -229,7 +246,11 @@ Status TransactionManager::Recover(const std::vector<std::string>& records,
           def.generated_key_order = gko != 0;
           schema.AddColumn(std::move(def));
         }
-        POLY_RETURN_IF_ERROR(db->CreateTable(name, std::move(schema)).status());
+        if (static_cast<TableKind>(table_kind) == TableKind::kRow) {
+          POLY_RETURN_IF_ERROR(db->CreateRowTable(name, std::move(schema)).status());
+        } else {
+          POLY_RETURN_IF_ERROR(db->CreateTable(name, std::move(schema)).status());
+        }
         break;
       }
       case RedoKind::kInsert: {
@@ -242,10 +263,11 @@ Status TransactionManager::Recover(const std::vector<std::string>& records,
           POLY_ASSIGN_OR_RETURN(Value v, ReadValue(&d));
           row.push_back(std::move(v));
         }
-        POLY_ASSIGN_OR_RETURN(ColumnTable * table, db->GetTable(table_name));
+        POLY_ASSIGN_OR_RETURN(AnyTable table, find_table(table_name));
         auto it = commit_ts.find(txn_id);
         uint64_t stamp = it != commit_ts.end() ? it->second : MakeTxnStamp(txn_id);
-        POLY_RETURN_IF_ERROR(table->AppendVersion(row, stamp).status());
+        POLY_RETURN_IF_ERROR(std::visit(
+            [&](auto* t) { return t->AppendVersion(row, stamp).status(); }, table));
         break;
       }
       case RedoKind::kDelete: {
@@ -254,14 +276,16 @@ Status TransactionManager::Recover(const std::vector<std::string>& records,
         POLY_ASSIGN_OR_RETURN(uint64_t row, d.GetU64());
         auto it = commit_ts.find(txn_id);
         if (it == commit_ts.end()) break;  // uncommitted delete: no effect
-        POLY_ASSIGN_OR_RETURN(ColumnTable * table, db->GetTable(table_name));
-        POLY_RETURN_IF_ERROR(table->SetDeleteStamp(row, it->second));
+        POLY_ASSIGN_OR_RETURN(AnyTable table, find_table(table_name));
+        POLY_RETURN_IF_ERROR(std::visit(
+            [&](auto* t) { return t->SetDeleteStamp(row, it->second); }, table));
         break;
       }
       case RedoKind::kCommit:
         break;
     }
   }
+  if (state != nullptr) *state = found;
   return Status::OK();
 }
 

@@ -1,6 +1,7 @@
 #ifndef POLY_TXN_TRANSACTION_MANAGER_H_
 #define POLY_TXN_TRANSACTION_MANAGER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -52,6 +53,13 @@ class Transaction {
   std::vector<WriteOp> writes_;
 };
 
+/// What a TransactionManager needs to go on writing after recovery.
+struct RecoveredState {
+  uint64_t last_commit_ts = 0;  ///< largest replayed commit timestamp
+  /// Largest transaction id in the log, uncommitted transactions included.
+  uint64_t last_txn_id = 0;
+};
+
 /// Snapshot-isolation MVCC transaction manager (§II-A: "fully ACID
 /// compliant"). Commit stamps are resolved in place (stamps carrying kTxnBit
 /// become the commit timestamp), writes are redo-logged, and recovery
@@ -67,6 +75,14 @@ class TransactionManager {
  public:
   /// `log` may be null (no durability, e.g. inside benches).
   explicit TransactionManager(RedoLog* log = nullptr) : log_(log) {}
+  /// A manager that goes on from a recovered log: its clock starts at the
+  /// last replayed commit, so every recovered row is visible, and its
+  /// transaction ids start above every id in the log, so no commit record
+  /// it writes can claim another life's uncommitted writes.
+  TransactionManager(RedoLog* log, const RecoveredState& from)
+      : clock_(std::max<uint64_t>(from.last_commit_ts, 1)),
+        next_txn_id_(from.last_txn_id + 1),
+        log_(log) {}
 
   std::unique_ptr<Transaction> Begin();
 
@@ -93,19 +109,30 @@ class TransactionManager {
   Status Commit(Transaction* txn);
   Status Abort(Transaction* txn);
 
-  /// Logs a CREATE TABLE so recovery can rebuild the catalog.
-  Status LogCreateTable(const std::string& name, const Schema& schema);
+  /// Logs a CREATE TABLE so recovery can rebuild the catalog, as a table
+  /// of the same kind.
+  Status LogCreateTable(const std::string& name, const Schema& schema,
+                        TableKind kind = TableKind::kColumn);
 
   /// Timestamp low-water mark below which no active snapshot exists.
   uint64_t OldestActiveSnapshot() const;
 
   uint64_t CurrentTimestamp() const { return clock_.load(std::memory_order_acquire); }
 
-  /// Replays a redo log into `db`: recreates tables and re-applies all
-  /// writes of committed transactions with their final timestamps.
-  static Status Recover(const std::vector<std::string>& records, Database* db);
+  /// Replays a redo log into `db`: recreates tables of their logged kind
+  /// and re-applies all writes of committed transactions with their final
+  /// timestamps. When `state` is given it receives what a manager needs to
+  /// go on writing to `db` (see the RecoveredState constructor).
+  static Status Recover(const std::vector<std::string>& records, Database* db,
+                        RecoveredState* state = nullptr);
 
  private:
+  /// The one write body per operation, for both table kinds; each takes
+  /// write_mu_.
+  template <typename Table>
+  Status InsertInto(Transaction* txn, Table* table, const Row& values);
+  template <typename Table>
+  Status DeleteFrom(Transaction* txn, Table* table, uint64_t row);
   /// Appends a create, insert or delete record; caller holds write_mu_.
   Status LogWrite(std::string record);
   /// Rolls back `txn`'s writes and retires it; caller holds write_mu_.

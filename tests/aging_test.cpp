@@ -77,9 +77,9 @@ TEST_F(AgingFixture, RunAgingMovesMatchingRows) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->rows_aged, 4u);  // orders 1-4 (5 is open)
   ReadView now = tm_.AutoCommitView();
-  EXPECT_EQ(orders_->CountVisible(now), 6u);
+  EXPECT_EQ(orders_->Read().CountVisible(now), 6u);
   ColumnTable* aged = *db_.GetTable("orders$aged");
-  EXPECT_EQ(aged->CountVisible(now), 4u);
+  EXPECT_EQ(aged->Read().CountVisible(now), 4u);
 }
 
 TEST_F(AgingFixture, DependencyGuardBlocksUntilParentAged) {
@@ -93,7 +93,7 @@ TEST_F(AgingFixture, DependencyGuardBlocksUntilParentAged) {
   EXPECT_EQ(stats->rows_aged, 8u);  // 4 orders + 4 invoices
   ReadView now = tm_.AutoCommitView();
   ColumnTable* aged_inv = *db_.GetTable("invoices$aged");
-  EXPECT_EQ(aged_inv->CountVisible(now), 4u);
+  EXPECT_EQ(aged_inv->Read().CountVisible(now), 4u);
   // Invoice of order 5 (open, not aged) stayed hot despite being old+paid?
   // Order 5 is open so its invoice is unpaid -> predicate already false;
   // the guard counter counts rows matching predicate but blocked. Here 0.
@@ -105,9 +105,12 @@ TEST_F(AgingFixture, GuardCountsBlockedRows) {
   // guard blocks (order 5 never ages).
   ReadView now = tm_.AutoCommitView();
   uint64_t row105 = 0;
-  invoices_->ScanVisible(now, [&](uint64_t r) {
-    if (invoices_->GetValue(r, 0).AsInt() == 105) row105 = r;
-  });
+  {
+    ColumnTable::ReadGuard g(invoices_);
+    g.ScanVisible(now, [&](uint64_t r) {
+      if (g.GetValue(r, 0).AsInt() == 105) row105 = r;
+    });
+  }
   auto txn = tm_.Begin();
   ASSERT_TRUE(tm_.Update(txn.get(), invoices_, row105,
                          {Value::Int(105), Value::Int(5), Value::Int(2024),
@@ -239,7 +242,7 @@ TEST(ExtendedStorageTest, DemotePromoteRoundTrip) {
 
   auto back = storage.Promote(&db, "warmme");
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ((*back)->CountVisible(LatestCommittedView()), 1u);
+  EXPECT_EQ((*back)->Read().CountVisible(LatestCommittedView()), 1u);
   // Promote MOVES: no warm residue, or a later cold demotion could sink a
   // stale copy while the real partition is hot (three-band invariant).
   EXPECT_FALSE(storage.Contains("warmme"));
@@ -273,7 +276,7 @@ TEST(ExtendedStorageTest, ColdTierViaDfs) {
 
   auto back = cold.PageIn(&db, "cold");
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ((*back)->CountVisible(LatestCommittedView()), 1u);
+  EXPECT_EQ((*back)->Read().CountVisible(LatestCommittedView()), 1u);
   // The partition lives in exactly one tier: paging in deletes the DFS file.
   EXPECT_FALSE(cold.Contains("cold"));
   EXPECT_FALSE(dfs.Exists(DfsTierStore::ColdPath("cold")));

@@ -719,7 +719,8 @@ struct ScriptedTxn {
 /// Ids of the rows of `t` visible to `view`.
 std::set<int64_t> VisibleIdSet(const ColumnTable& t, const ReadView& view) {
   std::set<int64_t> ids;
-  t.ScanVisible(view, [&](uint64_t r) { ids.insert(t.GetValue(r, 0).AsInt()); });
+  ColumnTable::ReadGuard g(&t);
+  g.ScanVisible(view, [&](uint64_t r) { ids.insert(g.GetValue(r, 0).AsInt()); });
   return ids;
 }
 
@@ -769,13 +770,14 @@ int RunCrashPoint(uint64_t seed, int k, const std::string& path) {
         if (tm.Insert(txn.get(), t, {Value::Int(id)}).ok()) inserted.insert(id);
       }
       std::vector<uint64_t> visible;
-      t->ScanVisible(txn->View(), [&](uint64_t r) { visible.push_back(r); });
+      ColumnTable::ReadGuard g(t);
+      g.ScanVisible(txn->View(), [&](uint64_t r) { visible.push_back(r); });
       Random pick(s.pick);
       for (int d = 0; d < s.deletes && !visible.empty(); ++d) {
         size_t i = pick.Uniform(visible.size());
         uint64_t row = visible[i];
         visible.erase(visible.begin() + static_cast<std::ptrdiff_t>(i));
-        if (tm.Delete(txn.get(), t, row).ok()) deleted.insert(t->GetValue(row, 0).AsInt());
+        if (tm.Delete(txn.get(), t, row).ok()) deleted.insert(g.GetValue(row, 0).AsInt());
       }
       if (s.abort) {
         (void)tm.Abort(txn.get());

@@ -94,8 +94,9 @@ TEST_F(GeoIndexFixture, WithinDistanceMatchesBruteForce) {
   double radius = 2000;
   std::vector<uint64_t> expected;
   ReadView now = tm_.AutoCommitView();
-  table_->ScanVisible(now, [&](uint64_t r) {
-    GeoPointValue p = table_->GetValue(r, 1).AsGeoPoint();
+  ColumnTable::ReadGuard g(table_);
+  g.ScanVisible(now, [&](uint64_t r) {
+    GeoPointValue p = g.GetValue(r, 1).AsGeoPoint();
     if (HaversineMeters(p, center) <= radius) expected.push_back(r);
   });
   EXPECT_EQ(idx.WithinDistance(center, radius), expected);
@@ -114,8 +115,9 @@ TEST_F(GeoIndexFixture, ContainedInPolygon) {
   GeoPolygon box({{8.495, 49.295}, {8.525, 49.295}, {8.525, 49.315}, {8.495, 49.315}});
   auto rows = idx.ContainedIn(box);
   EXPECT_FALSE(rows.empty());
+  ColumnTable::ReadGuard g(table_);
   for (uint64_t r : rows) {
-    EXPECT_TRUE(box.Contains(table_->GetValue(r, 1).AsGeoPoint()));
+    EXPECT_TRUE(box.Contains(g.GetValue(r, 1).AsGeoPoint()));
   }
 }
 
@@ -123,10 +125,11 @@ TEST_F(GeoIndexFixture, NearestFindsClosest) {
   GeoIndex idx = BuildIndex();
   auto nearest = idx.Nearest({8.5005, 49.3005});
   ASSERT_TRUE(nearest.ok());
-  EXPECT_EQ(table_->GetValue(*nearest, 0), Value::Int(0));
+  ColumnTable::ReadGuard g(table_);
+  EXPECT_EQ(g.GetValue(*nearest, 0), Value::Int(0));
   auto far = idx.Nearest({100.01, 10.01});
   ASSERT_TRUE(far.ok());
-  EXPECT_EQ(table_->GetValue(*far, 0), Value::Int(100));
+  EXPECT_EQ(g.GetValue(*far, 0), Value::Int(100));
 }
 
 TEST_F(GeoIndexFixture, KNearestOrderedByDistance) {
@@ -135,12 +138,13 @@ TEST_F(GeoIndexFixture, KNearestOrderedByDistance) {
   auto knn = idx.KNearest(probe, 4);
   ASSERT_EQ(knn.size(), 4u);
   double prev = -1;
+  ColumnTable::ReadGuard g(table_);
   for (uint64_t r : knn) {
-    double d = HaversineMeters(table_->GetValue(r, 1).AsGeoPoint(), probe);
+    double d = HaversineMeters(g.GetValue(r, 1).AsGeoPoint(), probe);
     EXPECT_GE(d, prev);
     prev = d;
   }
-  EXPECT_EQ(table_->GetValue(knn[0], 0), Value::Int(0));
+  EXPECT_EQ(g.GetValue(knn[0], 0), Value::Int(0));
   // k larger than the index returns everything.
   EXPECT_EQ(idx.KNearest(probe, 500).size(), idx.num_points());
   EXPECT_TRUE(idx.KNearest(probe, 0).empty());
@@ -152,7 +156,8 @@ TEST_F(GeoIndexFixture, RespectsVisibility) {
                          {Value::Int(999), Value::GeoPoint(8.5, 49.3)}).ok());
   GeoIndex idx = BuildIndex();  // built on committed snapshot
   auto rows = idx.WithinDistance({8.5, 49.3}, 100);
-  for (uint64_t r : rows) EXPECT_NE(table_->GetValue(r, 0), Value::Int(999));
+  ColumnTable::ReadGuard g(table_);
+  for (uint64_t r : rows) EXPECT_NE(g.GetValue(r, 0), Value::Int(999));
   ASSERT_TRUE(tm_.Abort(txn.get()).ok());
 }
 

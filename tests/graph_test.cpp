@@ -255,9 +255,12 @@ TEST_F(HierarchyFixture, VersionedSnapshotsAndDiff) {
   // Re-parent node 6 under 2 (update = delete + insert).
   ReadView now = tm_.AutoCommitView();
   uint64_t row6 = 0;
-  nodes_->ScanVisible(now, [&](uint64_t r) {
-    if (nodes_->GetValue(r, 0).AsInt() == 6) row6 = r;
-  });
+  {
+    ColumnTable::ReadGuard g(nodes_);
+    g.ScanVisible(now, [&](uint64_t r) {
+      if (g.GetValue(r, 0).AsInt() == 6) row6 = r;
+    });
+  }
   auto txn = tm_.Begin();
   ASSERT_TRUE(tm_.Update(txn.get(), nodes_, row6, {Value::Int(6), Value::Int(2)}).ok());
   ASSERT_TRUE(tm_.Commit(txn.get()).ok());

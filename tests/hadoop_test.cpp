@@ -180,10 +180,11 @@ TEST(TableConnectorTest, ExportImportRoundTrip) {
   auto imported = conn.Import("/tables/src.tsv", "dst", &db, &tm);
   ASSERT_TRUE(imported.ok()) << imported.status().ToString();
   ColumnTable* dst = *imported;
-  EXPECT_EQ(dst->CountVisible(tm.AutoCommitView()), 2u);
-  EXPECT_EQ(dst->GetValue(0, 1), Value::Str("ann"));
-  EXPECT_TRUE(dst->GetValue(1, 1).is_null());
-  EXPECT_EQ(dst->GetValue(0, 3).AsGeoPoint().lat, 49.3);
+  ColumnTable::ReadGuard g(dst);
+  EXPECT_EQ(g.CountVisible(tm.AutoCommitView()), 2u);
+  EXPECT_EQ(g.GetValue(0, 1), Value::Str("ann"));
+  EXPECT_TRUE(g.GetValue(1, 1).is_null());
+  EXPECT_EQ(g.GetValue(0, 3).AsGeoPoint().lat, 49.3);
 }
 
 TEST(TableConnectorTest, AppendToExisting) {
@@ -197,7 +198,7 @@ TEST(TableConnectorTest, AppendToExisting) {
   auto n = conn.AppendTo("/more.tsv", t, &tm);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 2u);
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 2u);
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()), 2u);
 }
 
 TEST(TableConnectorTest, MalformedTsvRejected) {

@@ -50,8 +50,8 @@ TEST(Integration, DfsImportQueryExportRoundTrip) {
   // Export and re-import: same row count, same values.
   ASSERT_TRUE(conn.Export(*t, tm.AutoCommitView(), "/out.tsv").ok());
   ColumnTable* t2 = *conn.Import("/out.tsv", "readings2", &db, &tm);
-  EXPECT_EQ(t2->CountVisible(tm.AutoCommitView()),
-            t->CountVisible(tm.AutoCommitView()));
+  EXPECT_EQ(t2->Read().CountVisible(tm.AutoCommitView()),
+            t->Read().CountVisible(tm.AutoCommitView()));
 }
 
 // Aging + extended storage + pruned queries: Fig. 1 top-to-bottom. Aged
@@ -354,8 +354,9 @@ TEST(Integration, GraphAndGeoCombine) {
   auto in_area = idx.ContainedIn(area);                 // nodes 0..4 by lon
   auto reachable = g.NodesWithinCost(0, 3.0);           // nodes 0..3 by hops
   std::vector<int64_t> both;
+  ColumnTable::ReadGuard node_rows(nodes);
   for (uint64_t row : in_area) {
-    int64_t id = nodes->GetValue(row, 0).AsInt();
+    int64_t id = node_rows.GetValue(row, 0).AsInt();
     if (std::find(reachable.begin(), reachable.end(), id) != reachable.end()) {
       both.push_back(id);
     }

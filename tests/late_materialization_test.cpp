@@ -131,9 +131,9 @@ class FoldParallelOracle : public ::testing::TestWithParam<int> {
       insert(t, static_cast<int>(rng->Uniform(250)));
       if (rng->Bernoulli(0.6)) t->Merge();
     }
-    if (t->num_versions() > 0) {
+    if (const uint64_t versions = t->Read().size(); versions > 0) {
       auto del = tm_.Begin();
-      for (int d = 0; d < 8; ++d) (void)tm_.Delete(del.get(), t, rng->Uniform(t->num_versions()));
+      for (int d = 0; d < 8; ++d) (void)tm_.Delete(del.get(), t, rng->Uniform(versions));
       ASSERT_TRUE(tm_.Commit(del.get()).ok());
     }
     insert(t2, static_cast<int>(rng->Uniform(40)));
@@ -512,8 +512,11 @@ TEST(IdRangeScanTest, RangeColumnChecksItsOwnMainSize) {
     if (i + 1 == kRows) t->Merge();
   }
   const_cast<Column&>(t->column(0)).Merge();
-  ASSERT_EQ(t->column(0).main_size(), 2u * kRows);
-  ASSERT_EQ(t->column(1).main_size(), static_cast<uint64_t>(kRows));
+  {
+    ColumnTable::ReadGuard g(t);
+    ASSERT_EQ(g.col(0).main_size(), 2u * kRows);
+    ASSERT_EQ(g.col(1).main_size(), static_cast<uint64_t>(kRows));
+  }
 
   for (const std::string& sql :
        {std::string("SELECT * FROM t WHERE b = 150000"),

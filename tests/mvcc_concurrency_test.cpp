@@ -42,82 +42,100 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(VersionStore, ChunkBoundaryAppend) {
-  VersionStore vs(/*chunk_rows=*/4);
+  EpochGC gc;
+  VersionStore vs(/*chunk_rows=*/4, &gc);
   for (uint64_t i = 0; i < 10; ++i) {
     EXPECT_EQ(vs.Append(/*cts=*/100 + i, /*dts=*/0), i);
   }
-  EXPECT_EQ(vs.size(), 10u);
+  EpochPin pin(&gc);
+  VersionStore::Snapshot snap = vs.SnapUnderPin();
+  EXPECT_EQ(snap.size(), 10u);
   EXPECT_EQ(vs.num_chunks(), 3u);  // 4 + 4 + 2 rows
-  // Values survive the chunk boundaries, through both read paths.
-  VersionStore::ReadGuard g = vs.Read();
+  // Values survive the chunk boundaries, in one snapshot and in a fresh
+  // snapshot per read.
   for (uint64_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(g.cts(i), 100 + i);
-    EXPECT_EQ(g.dts(i), 0u);
-    EXPECT_EQ(vs.ReadCts(i), 100 + i);
+    EXPECT_EQ(snap.cts(i), 100 + i);
+    EXPECT_EQ(snap.dts(i), 0u);
+    EXPECT_EQ(vs.SnapUnderPin().cts(i), 100 + i);
   }
 }
 
 TEST(VersionStore, DirectoryGrowthPreservesStampsAndReclaims) {
-  VersionStore vs(/*chunk_rows=*/4);
+  EpochGC gc;
+  VersionStore vs(/*chunk_rows=*/4, &gc);
   // Initial directory: 4 chunk slots * 4 rows = 16 rows; push well past two
   // doublings.
   const uint64_t kRows = 4 * 4 * 8;
   for (uint64_t i = 0; i < kRows; ++i) vs.Append(i + 1, 0);
   EXPECT_GE(vs.directory_capacity(), kRows / 4);
-  for (uint64_t i = 0; i < kRows; ++i) EXPECT_EQ(vs.ReadCts(i), i + 1);
+  {
+    EpochPin pin(&gc);
+    VersionStore::Snapshot snap = vs.SnapUnderPin();
+    for (uint64_t i = 0; i < kRows; ++i) EXPECT_EQ(snap.cts(i), i + 1);
+  }
   // No reader was pinned across growth, so every retired directory has been
   // reclaimed already (Grow retires then immediately reclaims).
   EXPECT_EQ(vs.retired_count(), 0u);
 }
 
 TEST(VersionStore, WatermarkPublicationOrdering) {
-  VersionStore vs(/*chunk_rows=*/4);
+  EpochGC gc;
+  VersionStore vs(/*chunk_rows=*/4, &gc);
   vs.Append(7, 0);
-  VersionStore::ReadGuard before = vs.Read();
+  EpochPin pin(&gc);
+  VersionStore::Snapshot before = vs.SnapUnderPin();
   EXPECT_EQ(before.size(), 1u);
   vs.Append(8, 0);
-  // A guard taken before the append keeps its frozen watermark; a fresh
-  // guard sees the published row.
+  // A snapshot taken before the append keeps its frozen watermark; a fresh
+  // snapshot sees the published row.
   EXPECT_EQ(before.size(), 1u);
-  VersionStore::ReadGuard after = vs.Read();
+  VersionStore::Snapshot after = vs.SnapUnderPin();
   EXPECT_EQ(after.size(), 2u);
   EXPECT_EQ(after.cts(1), 8u);
 }
 
 TEST(VersionStore, EpochRetireReclaimSequencing) {
-  VersionStore vs(/*chunk_rows=*/4);
+  EpochGC gc;
+  VersionStore vs(/*chunk_rows=*/4, &gc);
   for (uint64_t i = 0; i < 8; ++i) vs.Append(10 + i, i % 2 ? 99 : 0);
 
-  auto* pinned = new VersionStore::ReadGuard(&vs);  // reader in flight
-  EXPECT_EQ((*pinned).size(), 8u);
+  auto* pin = new EpochPin(&gc);  // reader in flight
+  VersionStore::Snapshot pinned = vs.SnapUnderPin();
+  EXPECT_EQ(pinned.size(), 8u);
 
   // Rebuild (what Vacuum does): drop the odd rows, renumber.
   std::vector<std::pair<uint64_t, uint64_t>> survivors;
   for (uint64_t i = 0; i < 8; i += 2) survivors.emplace_back(10 + i, 0);
   vs.Rebuild(survivors);
 
-  // The old chunks + directory are retired but NOT freed: the pinned guard
-  // still reads the pre-rebuild history.
+  // The old chunks + directory are retired but NOT freed: the pinned
+  // snapshot still reads the pre-rebuild history.
   EXPECT_GE(vs.retired_count(), 1u);
   EXPECT_EQ(vs.ReclaimExpired(), 0u);  // reclamation never frees pinned chunks
   EXPECT_GE(vs.retired_count(), 1u);
-  EXPECT_EQ((*pinned).size(), 8u);
-  for (uint64_t i = 0; i < 8; ++i) EXPECT_EQ((*pinned).cts(i), 10 + i);
+  EXPECT_EQ(pinned.size(), 8u);
+  for (uint64_t i = 0; i < 8; ++i) EXPECT_EQ(pinned.cts(i), 10 + i);
 
   // New readers see the rebuilt, renumbered history immediately.
-  EXPECT_EQ(vs.size(), 4u);
-  EXPECT_EQ(vs.ReadCts(1), 12u);
+  {
+    EpochPin reader(&gc);
+    VersionStore::Snapshot fresh = vs.SnapUnderPin();
+    EXPECT_EQ(fresh.size(), 4u);
+    EXPECT_EQ(fresh.cts(1), 12u);
+  }
 
   // Unpin; now the retired epoch is past every pinned epoch and frees run.
-  delete pinned;
+  delete pin;
   EXPECT_GE(vs.ReclaimExpired(), 1u);
   EXPECT_EQ(vs.retired_count(), 0u);
 }
 
 TEST(VersionStore, ReclaimNeverFreesChunkPinnedAcrossManyRetires) {
-  VersionStore vs(/*chunk_rows=*/4);
+  EpochGC gc;
+  VersionStore vs(/*chunk_rows=*/4, &gc);
   for (uint64_t i = 0; i < 6; ++i) vs.Append(i + 1, 0);
-  VersionStore::ReadGuard g = vs.Read();
+  EpochPin pin(&gc);
+  VersionStore::Snapshot g = vs.SnapUnderPin();
   // Pile up several generations of retired memory under the live pin.
   for (int round = 0; round < 5; ++round) {
     std::vector<std::pair<uint64_t, uint64_t>> stamps;
@@ -134,12 +152,14 @@ TEST(VersionStore, ReclaimNeverFreesChunkPinnedAcrossManyRetires) {
 }
 
 TEST(VersionStore, WriterStoresVisibleThroughGuards) {
-  VersionStore vs(/*chunk_rows=*/4);
+  EpochGC gc;
+  VersionStore vs(/*chunk_rows=*/4, &gc);
   uint64_t r = vs.Append(kTxnBit | 5, 0);
   EXPECT_EQ(vs.WriterLoadCts(r), kTxnBit | 5);
   vs.WriterStoreCts(r, 42);  // commit resolution
   vs.WriterStoreDts(r, 77);
-  VersionStore::ReadGuard g = vs.Read();
+  EpochPin pin(&gc);
+  VersionStore::Snapshot g = vs.SnapUnderPin();
   EXPECT_EQ(g.cts(r), 42u);
   EXPECT_EQ(g.dts(r), 77u);
   EXPECT_EQ(vs.WriterLoadDts(r), 77u);
@@ -245,11 +265,11 @@ void RunMvccOracle(uint64_t seed, bool with_deletes) {
       auto& out = samples[rd];
       while (writers_done.load(std::memory_order_acquire) < kWriters) {
         ReadView v = tm.AutoCommitView();
-        out.push_back({v.snapshot_ts, t->CountVisible(v)});
+        out.push_back({v.snapshot_ts, t->Read().CountVisible(v)});
       }
       // One final sample after all writers finished.
       ReadView v = tm.AutoCommitView();
-      out.push_back({v.snapshot_ts, t->CountVisible(v)});
+      out.push_back({v.snapshot_ts, t->Read().CountVisible(v)});
     });
   }
 
@@ -340,7 +360,7 @@ TEST(MvccOracle, CountVisibleSafeDuringVacuum) {
     readers.emplace_back([&]() {
       while (!stop.load(std::memory_order_acquire)) {
         ReadView v = tm.AutoCommitView();
-        uint64_t c = t->CountVisible(v);
+        uint64_t c = t->Read().CountVisible(v);
         // Every round fully deletes what it inserted, so a reader can never
         // see more than one round's rows alive.
         ASSERT_LE(c, static_cast<uint64_t>(kRowsPerRound));
@@ -368,8 +388,8 @@ TEST(MvccOracle, CountVisibleSafeDuringVacuum) {
   stop.store(true, std::memory_order_release);
   for (auto& th : readers) th.join();
 
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 0u);
-  EXPECT_EQ(t->num_versions(), 0u);
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()), 0u);
+  EXPECT_EQ(t->Read().size(), 0u);
 }
 
 // RowTable shares the same VersionStore, so its latch-free count path gets
@@ -383,7 +403,8 @@ TEST(MvccOracle, RowTableCountVisibleDuringWrites) {
   std::thread reader([&]() {
     uint64_t last = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      uint64_t c = t->CountVisible(tm.AutoCommitView());
+      ReadView v = tm.AutoCommitView();
+      uint64_t c = t->Read().CountVisible(v);
       if (c < last) violations.fetch_add(1);
       last = c;
     }
@@ -396,7 +417,7 @@ TEST(MvccOracle, RowTableCountVisibleDuringWrites) {
   stop.store(true, std::memory_order_release);
   reader.join();
   EXPECT_EQ(violations.load(), 0);
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 400u);
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()), 400u);
 }
 
 // FlexibleTable::NumRecords is CountVisible underneath — safe against
@@ -438,14 +459,15 @@ TEST(ChunkedValues, ChunkBoundaryAppend) {
   for (uint64_t i = 0; i < 10; ++i) {
     EXPECT_EQ(cv.Append(Value::Int(static_cast<int64_t>(100 + i))), i);
   }
-  EXPECT_EQ(cv.Size(), 10u);
+  EXPECT_EQ(cv.Snap().size(), 10u);
   EXPECT_EQ(cv.num_chunks(), 3u);  // 4 + 4 + 2 elements
-  // Values survive the chunk boundaries, through both read paths.
+  // Values survive the chunk boundaries, in one snapshot and in a fresh
+  // snapshot per read.
   ChunkedVector<Value>::Snapshot snap = cv.Snap();
   ASSERT_EQ(snap.size(), 10u);
   for (uint64_t i = 0; i < 10; ++i) {
     EXPECT_EQ(snap[i].AsInt(), static_cast<int64_t>(100 + i));
-    EXPECT_EQ(cv.At(i).AsInt(), static_cast<int64_t>(100 + i));
+    EXPECT_EQ(cv.Snap()[i].AsInt(), static_cast<int64_t>(100 + i));
   }
 }
 
@@ -475,9 +497,12 @@ TEST(ChunkedValues, DirectoryGrowthPreservesValuesUnderPin) {
   EXPECT_GE(gc.ReclaimExpired(), 1u);
   EXPECT_EQ(gc.retired_count(), 0u);
 
-  // Fresh reads see every published element.
+  // A fresh snapshot sees every published element.
+  EpochPin pin(&gc);
+  ChunkedVector<Value>::Snapshot fresh = cv.Snap();
+  ASSERT_EQ(fresh.size(), kRows);
   for (uint64_t i = 0; i < kRows; ++i) {
-    EXPECT_EQ(cv.At(i).AsInt(), static_cast<int64_t>(i));
+    EXPECT_EQ(fresh[i].AsInt(), static_cast<int64_t>(i));
   }
 }
 
@@ -518,8 +543,11 @@ TEST(ChunkedValues, MergeAndVacuumNeverFreeValuesUnderPinnedGuard) {
   EXPECT_EQ(seen, 10u);
 
   // A fresh guard sees the renumbered post-vacuum world.
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 5u);
-  EXPECT_EQ(t->GetValue(0, 0).AsInt(), 5);
+  {
+    ColumnTable::ReadGuard fresh(t);
+    EXPECT_EQ(fresh.CountVisible(tm.AutoCommitView()), 5u);
+    EXPECT_EQ(fresh.GetValue(0, 0).AsInt(), 5);
+  }
 
   // Unpin; now everything retired reclaims.
   delete guard;
@@ -556,8 +584,9 @@ TEST(MvccValues, ColumnValueReadsDuringInserts) {
       g.ScanVisible(v, [&](uint64_t r) {
         // Single-row commits in id order: visible ids are exactly 0..k.
         ASSERT_EQ(g.GetValue(r, 0).AsInt(), expect);
-        // The per-call pin path must agree with the guard.
-        ASSERT_EQ(t->GetValue(r, 0).AsInt(), expect);
+        // A fresh guard per read, pinned while the writer appends, must
+        // agree with the long-lived one.
+        ASSERT_EQ(ColumnTable::ReadGuard(t).GetValue(r, 0).AsInt(), expect);
         ++expect;
       });
     }
@@ -569,7 +598,7 @@ TEST(MvccValues, ColumnValueReadsDuringInserts) {
   }
   stop.store(true, std::memory_order_release);
   reader.join();
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 2000u);
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()), 2000u);
 }
 
 TEST(MvccValues, RowTableValueReadsDuringInserts) {
@@ -589,7 +618,7 @@ TEST(MvccValues, RowTableValueReadsDuringInserts) {
       int64_t expect = 0;
       g.ScanVisible(v, [&](uint64_t r) {
         ASSERT_EQ(g.GetValue(r, 0).AsInt(), expect);
-        ASSERT_EQ(t->GetValue(r, 0).AsInt(), expect);  // row-chunk pin path
+        ASSERT_EQ(RowTable::ReadGuard(t).GetValue(r, 0).AsInt(), expect);  // fresh pin
         ++expect;
       });
     }
@@ -601,7 +630,7 @@ TEST(MvccValues, RowTableValueReadsDuringInserts) {
   }
   stop.store(true, std::memory_order_release);
   reader.join();
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 2000u);
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()), 2000u);
 }
 
 // AddColumn publishes a fresh TableState sharing columns and versions; a

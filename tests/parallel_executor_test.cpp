@@ -55,7 +55,8 @@ class ParallelExecutorTest : public ::testing::Test {
     // Committed deletes, plus an aborted delete and an aborted insert, so
     // visibility checks do real work in every morsel.
     auto del = tm_.Begin();
-    for (uint64_t r = 0; r < orders->num_versions(); r += 13) {
+    const uint64_t versions = orders->Read().size();
+    for (uint64_t r = 0; r < versions; r += 13) {
       ASSERT_TRUE(tm_.Delete(del.get(), orders, r).ok());
     }
     ASSERT_TRUE(tm_.Commit(del.get()).ok());

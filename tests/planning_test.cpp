@@ -96,8 +96,9 @@ TEST_F(PlanningFixture, DisaggregatePreservesProportions) {
   EXPECT_NEAR(*engine.VersionTotal(1), 2000.0, 1e-9);
   ReadView now = tm_.AutoCommitView();
   std::map<int64_t, double> by_key;
-  table_->ScanVisible(now, [&](uint64_t r) {
-    by_key[table_->GetValue(r, 1).AsInt()] = table_->GetValue(r, 2).AsDouble();
+  ColumnTable::ReadGuard g(table_);
+  g.ScanVisible(now, [&](uint64_t r) {
+    by_key[g.GetValue(r, 1).AsInt()] = g.GetValue(r, 2).AsDouble();
   });
   EXPECT_NEAR(by_key[0], 200.0, 1e-9);
   EXPECT_NEAR(by_key[3], 800.0, 1e-9);
@@ -109,8 +110,9 @@ TEST_F(PlanningFixture, SnapshotSemanticsViaMvcc) {
   auto reader = tm_.Begin();
   ASSERT_TRUE(engine.DisaggregateVersion(1, 5000).ok());
   double old_total = 0;
-  table_->ScanVisible(reader->View(), [&](uint64_t r) {
-    old_total += table_->GetValue(r, 2).AsDouble();
+  ColumnTable::ReadGuard g(table_);
+  g.ScanVisible(reader->View(), [&](uint64_t r) {
+    old_total += g.GetValue(r, 2).AsDouble();
   });
   EXPECT_NEAR(old_total, 1000.0, 1e-9);
   EXPECT_NEAR(*engine.VersionTotal(1), 5000.0, 1e-9);

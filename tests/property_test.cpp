@@ -43,17 +43,18 @@ TEST_P(MergeInvariants, RowsUnchangedDictionarySorted) {
     }
     col.Merge(rng.Bernoulli(0.5));  // hint sometimes on; must never corrupt
     // Invariant 1: every row reads back unchanged.
-    ASSERT_EQ(col.size(), expect.size());
+    Column::Reader reader(&col);
+    ASSERT_EQ(reader.size(), expect.size());
     for (size_t r = 0; r < expect.size(); ++r) {
-      ASSERT_EQ(col.Get(r), expect[r]) << "seed=" << GetParam() << " round=" << round;
+      ASSERT_EQ(reader.Get(r), expect[r]) << "seed=" << GetParam() << " round=" << round;
     }
     // Invariant 2: the main dictionary is strictly sorted and minimal.
-    const auto& dict = col.main_dictionary();
+    const auto& dict = reader.main_dictionary();
     for (uint64_t i = 1; i < dict.size(); ++i) {
       ASSERT_TRUE(dict.At(i - 1) < dict.At(i));
     }
     // Invariant 3: delta is empty after a merge.
-    ASSERT_EQ(col.delta_size(), 0u);
+    ASSERT_EQ(reader.delta_size(), 0u);
   }
 }
 
@@ -78,7 +79,7 @@ TEST_P(MvccHistories, VisibleCountMatchesOracle) {
       ASSERT_TRUE(tm.Insert(txn.get(), t, {Value::Int(step)}).ok());
       if (rng.Bernoulli(0.8)) {
         ASSERT_TRUE(tm.Commit(txn.get()).ok());
-        live.push_back(t->num_versions() - 1);
+        live.push_back(t->Read().size() - 1);
       } else {
         ASSERT_TRUE(tm.Abort(txn.get()).ok());
       }
@@ -94,7 +95,7 @@ TEST_P(MvccHistories, VisibleCountMatchesOracle) {
         ASSERT_TRUE(tm.Abort(txn.get()).ok());
       }
     }
-    ASSERT_EQ(t->CountVisible(tm.AutoCommitView()), live.size())
+    ASSERT_EQ(t->Read().CountVisible(tm.AutoCommitView()), live.size())
         << "seed=" << GetParam() << " step=" << step;
   }
 }

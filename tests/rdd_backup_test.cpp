@@ -140,10 +140,11 @@ TEST(BackupTest, SnapshotRoundTrip) {
   ColumnTable* ra = *restored.GetTable("a");
   ColumnTable* rb = *restored.GetTable("b");
   // MVCC stamps preserved: deleted row stays deleted.
-  EXPECT_EQ(ra->CountVisible(LatestCommittedView()), 1u);
-  EXPECT_EQ(rb->CountVisible(LatestCommittedView()), 1u);
+  EXPECT_EQ(ra->Read().CountVisible(LatestCommittedView()), 1u);
+  EXPECT_EQ(rb->Read().CountVisible(LatestCommittedView()), 1u);
   int64_t k = 0;
-  ra->ScanVisible(LatestCommittedView(), [&](uint64_t r) { k = ra->GetValue(r, 0).AsInt(); });
+  ColumnTable::ReadGuard g(ra);
+  g.ScanVisible(LatestCommittedView(), [&](uint64_t r) { k = g.GetValue(r, 0).AsInt(); });
   EXPECT_EQ(k, 2);
 }
 
@@ -194,9 +195,10 @@ TEST_F(RddFixture, BackupRestoreSurvivesFaultInjection) {
     ColumnTable* t = *db.GetTable(table);
     uint64_t count = 0;
     double sum = 0;
-    t->ScanVisible(LatestCommittedView(), [&](uint64_t r) {
+    ColumnTable::ReadGuard g(t);
+    g.ScanVisible(LatestCommittedView(), [&](uint64_t r) {
       ++count;
-      sum += t->GetValue(r, 1).NumericValue();
+      sum += g.GetValue(r, 1).NumericValue();
     });
     return std::make_pair(count, sum);
   };

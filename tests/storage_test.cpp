@@ -75,12 +75,13 @@ TEST(ColumnTest, AppendAndGetFromDelta) {
   col.Append(Value::Str("x"));
   col.Append(Value::Str("y"));
   col.Append(Value::Str("x"));
-  EXPECT_EQ(col.size(), 3u);
-  EXPECT_EQ(col.main_size(), 0u);
-  EXPECT_EQ(col.Get(0), Value::Str("x"));
-  EXPECT_EQ(col.Get(2), Value::Str("x"));
+  Column::Reader reader(&col);
+  EXPECT_EQ(reader.size(), 3u);
+  EXPECT_EQ(reader.main_size(), 0u);
+  EXPECT_EQ(reader.Get(0), Value::Str("x"));
+  EXPECT_EQ(reader.Get(2), Value::Str("x"));
   // Two distinct values, three rows.
-  EXPECT_EQ(col.delta_dictionary().size(), 2u);
+  EXPECT_EQ(reader.delta_dict_size(), 2u);
 }
 
 TEST(ColumnTest, MergeMovesDeltaToSortedMain) {
@@ -91,18 +92,19 @@ TEST(ColumnTest, MergeMovesDeltaToSortedMain) {
   col.Append(Value::Str("apple"));
   ColumnMergeStats stats = col.Merge();
   EXPECT_FALSE(stats.fast_path);
-  EXPECT_EQ(col.main_size(), 4u);
-  EXPECT_EQ(col.delta_size(), 0u);
+  Column::Reader reader(&col);
+  EXPECT_EQ(reader.main_size(), 4u);
+  EXPECT_EQ(reader.delta_size(), 0u);
   // Rows preserved in order.
-  EXPECT_EQ(col.Get(0), Value::Str("banana"));
-  EXPECT_EQ(col.Get(1), Value::Str("apple"));
-  EXPECT_EQ(col.Get(3), Value::Str("apple"));
+  EXPECT_EQ(reader.Get(0), Value::Str("banana"));
+  EXPECT_EQ(reader.Get(1), Value::Str("apple"));
+  EXPECT_EQ(reader.Get(3), Value::Str("apple"));
   // Dictionary sorted: apple < banana < cherry.
-  EXPECT_EQ(col.main_dictionary().At(0), Value::Str("apple"));
-  EXPECT_EQ(col.main_dictionary().At(2), Value::Str("cherry"));
+  EXPECT_EQ(reader.main_dictionary().At(0), Value::Str("apple"));
+  EXPECT_EQ(reader.main_dictionary().At(2), Value::Str("cherry"));
   // Sorted dictionary means ordered IDs.
-  EXPECT_EQ(col.MainId(1), 0u);
-  EXPECT_EQ(col.MainId(0), 1u);
+  EXPECT_EQ(reader.MainId(1), 0u);
+  EXPECT_EQ(reader.MainId(0), 1u);
 }
 
 TEST(ColumnTest, SecondMergeMixedValuesRemapsIds) {
@@ -113,10 +115,11 @@ TEST(ColumnTest, SecondMergeMixedValuesRemapsIds) {
   ColumnMergeStats stats = col.Merge();
   EXPECT_FALSE(stats.fast_path);
   EXPECT_EQ(stats.ids_reencoded, 3u);  // the three pre-existing main rows
-  EXPECT_EQ(col.main_dictionary().size(), 5u);
+  Column::Reader reader(&col);
+  EXPECT_EQ(reader.main_dictionary().size(), 5u);
   std::vector<int> expect = {10, 30, 50, 20, 40, 30};
   for (size_t i = 0; i < expect.size(); ++i) {
-    EXPECT_EQ(col.Get(i), Value::Int(expect[i]));
+    EXPECT_EQ(reader.Get(i), Value::Int(expect[i]));
   }
 }
 
@@ -137,11 +140,12 @@ TEST(ColumnTest, MergeKeepsValuesThatTieButDiffer) {
       if (i == 0 || i == 2) col.Merge();  // a main part, then the general merge path
     }
     col.Merge();
+    Column::Reader reader(&col);
     for (size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(col.Get(i), rows[i]) << "row " << i;
-      EXPECT_EQ(col.Get(i).type(), rows[i].type()) << "row " << i;
+      EXPECT_EQ(reader.Get(i), rows[i]) << "row " << i;
+      EXPECT_EQ(reader.Get(i).type(), rows[i].type()) << "row " << i;
     }
-    const SortedDictionary& dict = col.main_dictionary();
+    const SortedDictionary& dict = reader.main_dictionary();
     ASSERT_EQ(dict.size(), 5u);
     EXPECT_EQ(dict.At(1).type(), DataType::kInt64);  // the tie breaks by type
     EXPECT_EQ(dict.At(2).type(), DataType::kDouble);
@@ -163,8 +167,9 @@ TEST(ColumnTest, GeneratedOrderFastPathSkipsReencode) {
   ColumnMergeStats stats = col.Merge(/*hint_generated_order=*/true);
   EXPECT_TRUE(stats.fast_path);
   EXPECT_EQ(stats.ids_reencoded, 0u);
-  EXPECT_EQ(col.main_dictionary().size(), 200u);
-  for (int v = 0; v < 200; ++v) EXPECT_EQ(col.Get(v), Value::Int(v));
+  Column::Reader reader(&col);
+  EXPECT_EQ(reader.main_dictionary().size(), 200u);
+  for (int v = 0; v < 200; ++v) EXPECT_EQ(reader.Get(v), Value::Int(v));
 }
 
 TEST(ColumnTest, FastPathHintFallsBackWhenViolated) {
@@ -174,8 +179,9 @@ TEST(ColumnTest, FastPathHintFallsBackWhenViolated) {
   col.Append(Value::Int(5));  // violates the "all greater" promise
   ColumnMergeStats stats = col.Merge(/*hint_generated_order=*/true);
   EXPECT_FALSE(stats.fast_path);  // must have taken the safe general path
-  EXPECT_EQ(col.main_dictionary().size(), 10u);
-  EXPECT_EQ(col.Get(10), Value::Int(5));
+  Column::Reader reader(&col);
+  EXPECT_EQ(reader.main_dictionary().size(), 10u);
+  EXPECT_EQ(reader.Get(10), Value::Int(5));
 }
 
 TEST(ColumnTest, UncompressedModeUses64BitIds) {
@@ -187,7 +193,8 @@ TEST(ColumnTest, UncompressedModeUses64BitIds) {
   packed.Merge();
   wide.Merge();
   EXPECT_LT(packed.MemoryBytes(), wide.MemoryBytes() / 4);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(packed.Get(i), wide.Get(i));
+  Column::Reader packed_reader(&packed), wide_reader(&wide);
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(packed_reader.Get(i), wide_reader.Get(i));
 }
 
 Schema TwoColSchema() {
@@ -198,8 +205,9 @@ TEST(ColumnTableTest, AppendAndRead) {
   ColumnTable t("t", TwoColSchema());
   ASSERT_TRUE(t.AppendVersion({Value::Int(1), Value::Str("a")}, 10).ok());
   ASSERT_TRUE(t.AppendVersion({Value::Int(2), Value::Str("b")}, 11).ok());
-  EXPECT_EQ(t.num_versions(), 2u);
-  Row row = t.GetRow(1);
+  ColumnTable::ReadGuard g(&t);
+  EXPECT_EQ(g.size(), 2u);
+  Row row = g.GetRow(1);
   EXPECT_EQ(row[0], Value::Int(2));
   EXPECT_EQ(row[1], Value::Str("b"));
 }
@@ -225,9 +233,10 @@ TEST(ColumnTableTest, MvccVisibility) {
   ReadView early{4, 0};
   ReadView mid{7, 0};
   ReadView late{10, 0};
-  EXPECT_EQ(t.CountVisible(early), 0u);
-  EXPECT_EQ(t.CountVisible(mid), 1u);   // row0 alive, row1 not yet created
-  EXPECT_EQ(t.CountVisible(late), 1u);  // row0 deleted, row1 alive
+  ColumnTable::ReadGuard g(&t);
+  EXPECT_EQ(g.CountVisible(early), 0u);
+  EXPECT_EQ(g.CountVisible(mid), 1u);   // row0 alive, row1 not yet created
+  EXPECT_EQ(g.CountVisible(late), 1u);  // row0 deleted, row1 alive
 }
 
 TEST(ColumnTableTest, UncommittedVisibleOnlyToOwner) {
@@ -235,8 +244,9 @@ TEST(ColumnTableTest, UncommittedVisibleOnlyToOwner) {
   ASSERT_TRUE(t.AppendVersion({Value::Int(1), Value::Str("a")}, MakeTxnStamp(77)).ok());
   ReadView owner{100, 77};
   ReadView other{100, 78};
-  EXPECT_EQ(t.CountVisible(owner), 1u);
-  EXPECT_EQ(t.CountVisible(other), 0u);
+  ColumnTable::ReadGuard g(&t);
+  EXPECT_EQ(g.CountVisible(owner), 1u);
+  EXPECT_EQ(g.CountVisible(other), 0u);
 }
 
 TEST(ColumnTableTest, DoubleDeleteConflicts) {
@@ -256,10 +266,11 @@ TEST(ColumnTableTest, MergeKeepsMvccAndRowIds) {
   ASSERT_TRUE(t.SetDeleteStamp(10, 6).ok());
   TableMergeStats stats = t.Merge();
   EXPECT_EQ(stats.columns_fast_path + stats.columns_general_path, 2u);
-  EXPECT_EQ(t.column(0).delta_size(), 0u);
-  EXPECT_EQ(t.GetRow(10)[0], Value::Int(10));
+  ColumnTable::ReadGuard g(&t);
+  EXPECT_EQ(g.col(0).delta_size(), 0u);
+  EXPECT_EQ(g.GetRow(10)[0], Value::Int(10));
   ReadView view{100, 0};
-  EXPECT_EQ(t.CountVisible(view), 49u);
+  EXPECT_EQ(g.CountVisible(view), 49u);
 }
 
 TEST(ColumnTableTest, GeneratedKeyOrderSchemaFlagUsedByMerge) {
@@ -292,18 +303,20 @@ TEST(ColumnTableTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(loaded.ok());
   ColumnTable* lt = loaded->get();
   EXPECT_EQ(lt->name(), "orders");
-  EXPECT_EQ(lt->num_versions(), 2u);
-  EXPECT_EQ(lt->GetRow(1)[1], Value::Str("beta"));
-  EXPECT_EQ(lt->dts(0), 9u);
-  EXPECT_EQ(lt->cts(1), 4u);
+  ColumnTable::ReadGuard g(lt);
+  EXPECT_EQ(g.size(), 2u);
+  EXPECT_EQ(g.GetRow(1)[1], Value::Str("beta"));
+  EXPECT_EQ(g.dts(0), 9u);
+  EXPECT_EQ(g.cts(1), 4u);
 }
 
 TEST(RowTableTest, MirrorsMvccSemantics) {
   RowTable t("r", TwoColSchema());
   ASSERT_TRUE(t.AppendVersion({Value::Int(1), Value::Str("a")}, 5).ok());
   ASSERT_TRUE(t.SetDeleteStamp(0, 8).ok());
-  EXPECT_EQ(t.CountVisible(ReadView{6, 0}), 1u);
-  EXPECT_EQ(t.CountVisible(ReadView{9, 0}), 0u);
+  RowTable::ReadGuard g(&t);
+  EXPECT_EQ(g.CountVisible(ReadView{6, 0}), 1u);
+  EXPECT_EQ(g.CountVisible(ReadView{9, 0}), 0u);
   EXPECT_TRUE(t.SetDeleteStamp(0, 9).IsAborted());
 }
 
@@ -339,16 +352,19 @@ TEST(ColumnTableTest, VacuumRemovesDeadVersionsOnly) {
   ASSERT_TRUE(t.SetDeleteStamp(3, MakeTxnStamp(7)).ok());
 
   EXPECT_EQ(t.Vacuum(/*watermark=*/50), 1u);  // only row 1 is dead to all
-  EXPECT_EQ(t.num_versions(), 4u);
-  // Remaining rows keep their data and stamps (renumbered).
-  std::vector<int64_t> ids;
-  for (uint64_t r = 0; r < t.num_versions(); ++r) ids.push_back(t.GetValue(r, 0).AsInt());
-  EXPECT_EQ(ids, (std::vector<int64_t>{0, 2, 3, 4}));
-  EXPECT_EQ(t.dts(1), 90u);
-  EXPECT_TRUE(StampIsUncommitted(t.dts(2)));
-  // Visibility unchanged for a recent snapshot: rows 0 and 4 alive, row 2's
-  // delete (ts 90) hasn't happened yet at 60, row 3's delete is in flight.
-  EXPECT_EQ(t.CountVisible(ReadView{60, 0}), 4u);
+  {
+    ColumnTable::ReadGuard g(&t);
+    EXPECT_EQ(g.size(), 4u);
+    // Remaining rows keep their data and stamps (renumbered).
+    std::vector<int64_t> ids;
+    for (uint64_t r = 0; r < g.size(); ++r) ids.push_back(g.GetValue(r, 0).AsInt());
+    EXPECT_EQ(ids, (std::vector<int64_t>{0, 2, 3, 4}));
+    EXPECT_EQ(g.dts(1), 90u);
+    EXPECT_TRUE(StampIsUncommitted(g.dts(2)));
+    // Visibility unchanged for a recent snapshot: rows 0 and 4 alive, row 2's
+    // delete (ts 90) hasn't happened yet at 60, row 3's delete is in flight.
+    EXPECT_EQ(g.CountVisible(ReadView{60, 0}), 4u);
+  }
   EXPECT_EQ(t.Vacuum(50), 0u);  // idempotent at same watermark
   EXPECT_EQ(t.Vacuum(100), 1u);  // row with dts=90 now collectable
 }
@@ -365,7 +381,7 @@ TEST(ColumnTableTest, VacuumShrinksMemory) {
   size_t before = t.MemoryBytes();
   EXPECT_EQ(t.Vacuum(10), 1900u);
   EXPECT_LT(t.MemoryBytes(), before / 4);
-  EXPECT_EQ(t.CountVisible(ReadView{100, 0}), 100u);
+  EXPECT_EQ(t.Read().CountVisible(ReadView{100, 0}), 100u);
 }
 
 TEST(CompressionClaim, ColumnStoreBeatsRowStoreOnRedundantData) {

@@ -107,7 +107,7 @@ TEST(StreamPipelineTest, TableSinkLandsEventsInColumnStore) {
   }
   EXPECT_TRUE(sink.status().ok());
   EXPECT_EQ(sink.rows_written(), 10u);
-  EXPECT_EQ(readings->CountVisible(tm.AutoCommitView()), 10u);
+  EXPECT_EQ(readings->Read().CountVisible(tm.AutoCommitView()), 10u);
 
   // The landed stream is a first-class time series.
   auto series = SeriesFromTable(*readings, tm.AutoCommitView(), "ts", "value", "sensor", 1);

@@ -235,8 +235,9 @@ TEST(TextEngineTest, EntityExtractionBridgesToRelational) {
   // The structured side is now queryable like any other table.
   uint64_t company_rows = 0;
   ReadView now = tm.AutoCommitView();
-  entities->ScanVisible(now, [&](uint64_t r) {
-    if (entities->GetValue(r, 1).AsString() == "COMPANY") ++company_rows;
+  ColumnTable::ReadGuard g(entities);
+  g.ScanVisible(now, [&](uint64_t r) {
+    if (g.GetValue(r, 1).AsString() == "COMPANY") ++company_rows;
   });
   EXPECT_EQ(company_rows, 1u);
 }

@@ -24,7 +24,8 @@ Schema OrderSchema() {
 /// Ids of the rows of `t` visible to `view`, in row order.
 std::vector<int64_t> VisibleIds(ColumnTable* t, const ReadView& view) {
   std::vector<int64_t> ids;
-  t->ScanVisible(view, [&](uint64_t r) { ids.push_back(t->GetValue(r, 0).AsInt()); });
+  ColumnTable::ReadGuard g(t);
+  g.ScanVisible(view, [&](uint64_t r) { ids.push_back(g.GetValue(r, 0).AsInt()); });
   return ids;
 }
 
@@ -37,12 +38,12 @@ TEST(TxnTest, CommitMakesRowsVisible) {
   ASSERT_TRUE(tm.Insert(txn.get(), t, {Value::Int(1), Value::Dbl(9.5)}).ok());
 
   // Not visible to a concurrent reader before commit.
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 0u);
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()), 0u);
   // Visible to itself.
-  EXPECT_EQ(t->CountVisible(txn->View()), 1u);
+  EXPECT_EQ(t->Read().CountVisible(txn->View()), 1u);
 
   ASSERT_TRUE(tm.Commit(txn.get()).ok());
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 1u);
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()), 1u);
 }
 
 TEST(TxnTest, AbortHidesRowsForever) {
@@ -53,8 +54,9 @@ TEST(TxnTest, AbortHidesRowsForever) {
   auto txn = tm.Begin();
   ASSERT_TRUE(tm.Insert(txn.get(), t, {Value::Int(1), Value::Dbl(1.0)}).ok());
   ASSERT_TRUE(tm.Abort(txn.get()).ok());
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 0u);
-  EXPECT_EQ(t->num_versions(), 1u);  // version slot exists but is dead
+  ColumnTable::ReadGuard g(t);
+  EXPECT_EQ(g.CountVisible(tm.AutoCommitView()), 0u);
+  EXPECT_EQ(g.size(), 1u);  // version slot exists but is dead
 }
 
 // Durable before visible: a commit whose record cannot be appended or
@@ -72,7 +74,7 @@ void ExpectFailedCommitInvisible(const char* failing_op) {
     return Status::OK();
   });
   EXPECT_EQ(tm.Commit(txn.get()).code(), StatusCode::kIOError);
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 0u);
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()), 0u);
   EXPECT_EQ(tm.Commit(txn.get()).code(), StatusCode::kInvalidArgument);  // aborted
 }
 
@@ -99,8 +101,8 @@ TEST(TxnTest, SnapshotIsolationReadersDontSeeLaterCommits) {
   ASSERT_TRUE(tm.Insert(w1.get(), t, {Value::Int(2), Value::Dbl(2.0)}).ok());
   ASSERT_TRUE(tm.Commit(w1.get()).ok());
 
-  EXPECT_EQ(t->CountVisible(reader->View()), 1u);
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 2u);
+  EXPECT_EQ(t->Read().CountVisible(reader->View()), 1u);
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()), 2u);
 }
 
 TEST(TxnTest, DeleteVisibilityAndConflict) {
@@ -119,7 +121,7 @@ TEST(TxnTest, DeleteVisibilityAndConflict) {
   EXPECT_TRUE(tm.Delete(d2.get(), t, 0).IsAborted());
   ASSERT_TRUE(tm.Commit(d1.get()).ok());
   ASSERT_TRUE(tm.Abort(d2.get()).ok());
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 0u);
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()), 0u);
 }
 
 TEST(TxnTest, AbortedDeleteRestoresRow) {
@@ -133,7 +135,7 @@ TEST(TxnTest, AbortedDeleteRestoresRow) {
   auto d = tm.Begin();
   ASSERT_TRUE(tm.Delete(d.get(), t, 0).ok());
   ASSERT_TRUE(tm.Abort(d.get()).ok());
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 1u);
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()), 1u);
   // Row is deletable again after the abort.
   auto d2 = tm.Begin();
   EXPECT_TRUE(tm.Delete(d2.get(), t, 0).ok());
@@ -154,8 +156,9 @@ TEST(TxnTest, UpdateReplacesVersion) {
 
   ReadView now = tm.AutoCommitView();
   double amount = -1;
-  t->ScanVisible(now, [&](uint64_t r) { amount = t->GetValue(r, 1).AsDouble(); });
-  EXPECT_EQ(t->CountVisible(now), 1u);
+  ColumnTable::ReadGuard g(t);
+  g.ScanVisible(now, [&](uint64_t r) { amount = g.GetValue(r, 1).AsDouble(); });
+  EXPECT_EQ(g.CountVisible(now), 1u);
   EXPECT_EQ(amount, 99.0);
 }
 
@@ -175,11 +178,11 @@ TEST(TxnTest, RowTableWritesWork) {
   auto w = tm.Begin();
   ASSERT_TRUE(tm.Insert(w.get(), t, {Value::Int(1), Value::Dbl(5.0)}).ok());
   ASSERT_TRUE(tm.Commit(w.get()).ok());
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 1u);
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()), 1u);
   auto d = tm.Begin();
   ASSERT_TRUE(tm.Delete(d.get(), t, 0).ok());
   ASSERT_TRUE(tm.Commit(d.get()).ok());
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 0u);
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()), 0u);
 }
 
 TEST(TxnTest, ConcurrentWritersAllCommit) {
@@ -201,12 +204,13 @@ TEST(TxnTest, ConcurrentWritersAllCommit) {
     });
     EXPECT_EQ(failures.load(), 0);
   }
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()),
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()),
             static_cast<uint64_t>(kThreads * kPerThread));
   // All ids distinct -> no lost or duplicated writes.
   std::set<int64_t> ids;
-  t->ScanVisible(tm.AutoCommitView(), [&](uint64_t r) {
-    ids.insert(t->GetValue(r, 0).AsInt());
+  ColumnTable::ReadGuard g(t);
+  g.ScanVisible(tm.AutoCommitView(), [&](uint64_t r) {
+    ids.insert(g.GetValue(r, 0).AsInt());
   });
   EXPECT_EQ(ids.size(), static_cast<size_t>(kThreads * kPerThread));
 }
@@ -225,7 +229,8 @@ TEST(TxnTest, ConcurrentReadersDuringWrites) {
   std::thread reader([&]() {
     uint64_t last = 0;
     while (!stop.load()) {
-      uint64_t count = t->CountVisible(tm.AutoCommitView());
+      ReadView view = tm.AutoCommitView();
+      uint64_t count = t->Read().CountVisible(view);
       if (count < last) monotonic_violations.fetch_add(1);
       last = count;
     }
@@ -239,7 +244,7 @@ TEST(TxnTest, ConcurrentReadersDuringWrites) {
   reader.join();
   // Insert-only history: visible count must never decrease.
   EXPECT_EQ(monotonic_violations.load(), 0);
-  EXPECT_EQ(t->CountVisible(tm.AutoCommitView()), 500u);
+  EXPECT_EQ(t->Read().CountVisible(tm.AutoCommitView()), 500u);
 }
 
 TEST(RecoveryTest, ReplayRebuildsCommittedState) {
@@ -271,9 +276,10 @@ TEST(RecoveryTest, ReplayRebuildsCommittedState) {
   ASSERT_TRUE(TransactionManager::Recover(records, &recovered).ok());
   ColumnTable* rt = *recovered.GetTable("orders");
   ReadView latest = LatestCommittedView();
-  EXPECT_EQ(rt->CountVisible(latest), 1u);
+  ColumnTable::ReadGuard g(rt);
+  EXPECT_EQ(g.CountVisible(latest), 1u);
   int64_t id = -1;
-  rt->ScanVisible(latest, [&](uint64_t r) { id = rt->GetValue(r, 0).AsInt(); });
+  g.ScanVisible(latest, [&](uint64_t r) { id = g.GetValue(r, 0).AsInt(); });
   EXPECT_EQ(id, 2);
 }
 
@@ -298,7 +304,7 @@ TEST(RecoveryTest, FileBackedLogSurvivesReopen) {
   Database recovered;
   ASSERT_TRUE(TransactionManager::Recover(*records, &recovered).ok());
   ColumnTable* t = *recovered.GetTable("t");
-  EXPECT_EQ(t->CountVisible(LatestCommittedView()), 1u);
+  EXPECT_EQ(t->Read().CountVisible(LatestCommittedView()), 1u);
 
   // ForEach on a file-backed log replays the file, not an in-memory copy:
   // a reopened log sees the records the first one wrote.
@@ -389,6 +395,86 @@ struct LoggedTable {
   std::unique_ptr<TransactionManager> tm;
   ColumnTable* t = nullptr;
 };
+
+// Three lives on one log file. Life 1 commits row 1 as txn 1 and leaves
+// txn 2's insert of row 2 uncommitted. Life 2 starts a manager from the
+// recovered state: a reader sees the recovered row, and a writer's commit
+// of row 3 gets a transaction id and a timestamp above every one in the
+// log. Life 3 then recovers exactly the two acknowledged writes. A manager
+// that restarted its clock and ids at 1 saw 0 rows in life 2, logged the
+// write's commit as txn 2, and so made life 1's uncommitted row 2 visible
+// in life 3.
+TEST(RecoveryTest, ManagerFromRecoveredStateWritesSafely) {
+  TempLogFile file("poly_three_lives");
+  uint64_t life1_commit_ts = 0;
+  {
+    LoggedTable life1(file.path);  // row 1, committed as txn 1
+    auto uncommitted = life1.tm->Begin();
+    EXPECT_EQ(uncommitted->id(), 2u);
+    ASSERT_TRUE(life1.tm->Insert(uncommitted.get(), life1.t,
+                                 {Value::Int(2), Value::Dbl(2.0)}).ok());
+    life1_commit_ts = life1.tm->CurrentTimestamp();
+  }
+  {
+    auto records = RedoLog::ReadFile(file.path);
+    ASSERT_TRUE(records.ok());
+    Database db;
+    RecoveredState state;
+    ASSERT_TRUE(TransactionManager::Recover(*records, &db, &state).ok());
+    EXPECT_EQ(state.last_commit_ts, life1_commit_ts);
+    EXPECT_EQ(state.last_txn_id, 2u);  // the uncommitted txn counts
+    auto log = RedoLog::OpenFile(file.path);
+    ASSERT_TRUE(log.ok());
+    TransactionManager tm(log->get(), state);
+    ColumnTable* t = *db.GetTable("t");
+    EXPECT_EQ(VisibleIds(t, tm.AutoCommitView()), std::vector<int64_t>{1});
+    auto reader = tm.Begin();
+    EXPECT_EQ(reader->id(), 3u);
+    EXPECT_EQ(VisibleIds(t, reader->View()), std::vector<int64_t>{1});
+    ASSERT_TRUE(tm.Commit(reader.get()).ok());
+    auto txn = tm.Begin();
+    EXPECT_EQ(txn->id(), 4u);
+    ASSERT_TRUE(tm.Insert(txn.get(), t, {Value::Int(3), Value::Dbl(3.0)}).ok());
+    ASSERT_TRUE(tm.Commit(txn.get()).ok());
+    EXPECT_GT(txn->commit_ts(), life1_commit_ts);
+    EXPECT_EQ(VisibleIds(t, tm.AutoCommitView()), (std::vector<int64_t>{1, 3}));
+  }
+  EXPECT_EQ(RecoveredIds(file.path), (std::vector<int64_t>{1, 3}));
+}
+
+// A row table's create record carries its kind: recovery rebuilds a row
+// table, and replays its inserts and deletes into it.
+TEST(RecoveryTest, RowTableRecoversAsRowTable) {
+  RedoLog log;
+  Database db;
+  TransactionManager tm(&log);
+  ASSERT_TRUE(tm.LogCreateTable("rt", OrderSchema(), TableKind::kRow).ok());
+  RowTable* rt = *db.CreateRowTable("rt", OrderSchema());
+  auto ins = tm.Begin();
+  ASSERT_TRUE(tm.Insert(ins.get(), rt, {Value::Int(1), Value::Dbl(1.0)}).ok());
+  ASSERT_TRUE(tm.Insert(ins.get(), rt, {Value::Int(2), Value::Dbl(2.0)}).ok());
+  ASSERT_TRUE(tm.Commit(ins.get()).ok());
+  auto del = tm.Begin();
+  ASSERT_TRUE(tm.Delete(del.get(), rt, 0).ok());
+  ASSERT_TRUE(tm.Commit(del.get()).ok());
+
+  std::vector<std::string> records;
+  ASSERT_TRUE(log.ForEach([&](const std::string& r) {
+    records.push_back(r);
+    return Status::OK();
+  }).ok());
+  Database recovered;
+  ASSERT_TRUE(TransactionManager::Recover(records, &recovered).ok());
+  EXPECT_FALSE(recovered.GetTable("rt").ok());
+  auto back = recovered.GetRowTable("rt");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  RowTable::ReadGuard g(*back);
+  EXPECT_EQ(g.size(), 2u);
+  std::vector<int64_t> ids;
+  g.ScanVisible(LatestCommittedView(),
+                [&](uint64_t r) { ids.push_back(g.GetValue(r, 0).AsInt()); });
+  EXPECT_EQ(ids, std::vector<int64_t>{2});
+}
 
 /// Appends raw bytes to a file.
 void AppendBytes(const std::string& path, const std::string& bytes) {
