@@ -40,14 +40,6 @@ struct ExecOptions {
   /// per row (E21 measures it at well under 3%).
   bool trace = false;
 
-  /// Report per-partition AccessEvents to the Database's AccessObserver
-  /// (when one is attached) so the tiering heat tracker sees real workload.
-  /// On by default because the cost is one virtual call per (query,
-  /// partition) — nothing per row — and zero when no observer is attached.
-  /// Internal scans that should not perturb heat (tier movement itself,
-  /// recovery replay) turn it off.
-  bool track_access = true;
-
   /// Workload class this query runs under ("oltp", "olap", "batch", ...).
   /// Empty means the governor's default class. Consulted whenever a
   /// ResourceGovernor is attached to the Database: `Database::Execute`

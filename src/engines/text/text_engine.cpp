@@ -1,5 +1,7 @@
 #include "engines/text/text_engine.h"
 
+#include <algorithm>
+
 namespace poly {
 
 StatusOr<TextEngine> TextEngine::Create(ColumnTable* table, const std::string& column) {
@@ -14,6 +16,13 @@ StatusOr<TextEngine> TextEngine::Create(ColumnTable* table, const std::string& c
 
 uint64_t TextEngine::Refresh() {
   ColumnTable::ReadGuard g(table_);
+  if (g.vacuum_count() != vacuums_seen_) {
+    // A Vacuum renumbered the rows, so the index's doc ids name other rows
+    // now, even if later inserts regrew the table past indexed_until_.
+    index_ = InvertedIndex();
+    indexed_until_ = 0;
+    vacuums_seen_ = g.vacuum_count();
+  }
   uint64_t n = g.size();
   uint64_t indexed = 0;
   for (uint64_t r = indexed_until_; r < n; ++r) {
@@ -26,9 +35,11 @@ uint64_t TextEngine::Refresh() {
   return indexed;
 }
 
-double TextEngine::RowSentiment(uint64_t row) const {
-  Value v = ColumnTable::ReadGuard(table_).GetValue(row, column_);
-  if (v.is_null()) return 0;
+StatusOr<double> TextEngine::RowSentiment(uint64_t row) const {
+  ColumnTable::ReadGuard g(table_);
+  if (row >= g.size()) return Status::OutOfRange("row out of range");
+  Value v = g.GetValue(row, column_);
+  if (v.is_null()) return 0.0;
   return SentimentScore(v.AsString());
 }
 
@@ -41,7 +52,8 @@ StatusOr<uint64_t> TextEngine::ExtractEntitiesTo(TransactionManager* tm,
   auto txn = tm->Begin();
   uint64_t written = 0;
   ColumnTable::ReadGuard g(table_);
-  for (uint64_t r = 0; r < indexed_until_; ++r) {
+  uint64_t end = std::min(indexed_until_, g.size());
+  for (uint64_t r = 0; r < end; ++r) {
     Value v = g.GetValue(r, column_);
     if (v.is_null()) continue;
     for (const Entity& e : ExtractEntities(v.AsString())) {

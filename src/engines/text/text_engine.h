@@ -22,7 +22,9 @@ class TextEngine {
   /// `table` must outlive the engine; `column` must be a string column.
   static StatusOr<TextEngine> Create(ColumnTable* table, const std::string& column);
 
-  /// Indexes rows appended since the last Refresh. Returns rows indexed.
+  /// Indexes rows appended since the last Refresh; after a Vacuum has
+  /// renumbered the table, indexes it again from row 0. Returns rows
+  /// indexed.
   uint64_t Refresh();
 
   /// BM25 search returning table row IDs (visibility is the caller's
@@ -34,11 +36,12 @@ class TextEngine {
     return index_.SearchAll(query, top_k);
   }
 
-  /// Sentiment of one stored document row.
-  double RowSentiment(uint64_t row) const;
+  /// Sentiment of one stored document row; OutOfRange past the table's end.
+  StatusOr<double> RowSentiment(uint64_t row) const;
 
-  /// Extracts entities from every indexed document into `target`, which
-  /// must have schema (doc_row INT64, kind STRING, entity STRING) — the
+  /// Extracts entities from the documents below where the last Refresh
+  /// stopped (at most the table's current end) into `target`, which must
+  /// have schema (doc_row INT64, kind STRING, entity STRING) — the
   /// unstructured→structured bridge. Returns entities written.
   StatusOr<uint64_t> ExtractEntitiesTo(TransactionManager* tm, ColumnTable* target);
 
@@ -50,6 +53,7 @@ class TextEngine {
   ColumnTable* table_;
   size_t column_;
   uint64_t indexed_until_ = 0;
+  uint64_t vacuums_seen_ = 0;  // the table's vacuum count the index is for
   InvertedIndex index_;
 };
 

@@ -262,9 +262,9 @@ StatusOr<ResultSet> QueryCompiler::Execute(const PlanPtr& plan) {
     ColumnTable* table = pinned_table.get();
     // ONE unified guard for the whole kernel (DESIGN.md §12.5): a single
     // epoch pin covering stamps and the value snapshots of every column.
-    // The fused loop below reads two stamps per row, and the guard bounds n
-    // to the published watermark so concurrent writers never hand us a
-    // half-written row or an unpublished delta value.
+    // The fused loop below runs inside the guard's visibility loop, and the
+    // guard bounds n to the published watermark so concurrent writers never
+    // hand us a half-written row or an unpublished delta value.
     ColumnTable::ReadGuard guard(table);
     uint64_t n = guard.size();
     uint64_t kernel_wall0 = 0, kernel_cpu0 = 0;
@@ -321,17 +321,12 @@ StatusOr<ResultSet> QueryCompiler::Execute(const PlanPtr& plan) {
         spec.has_group ? &guard.col(spec.group_col) : nullptr;
     const double* const* cols = col_ptrs.data();
 
-    // The fused loop ("the compiled query").
-    for (uint64_t r = 0; r < n; ++r) {
-      if (!view_.RowVisible(guard.cts(r), guard.dts(r))) continue;
-      bool pass = true;
+    // The fused loop ("the compiled query"), over the rows the stamp
+    // snapshot's visibility loop yields.
+    guard.ScanVisibleRange(view_, 0, n, [&](uint64_t r) {
       for (const RangeCheck& c : spec.checks) {
-        if (!CheckPasses(c, cols[c.col_slot][r])) {
-          pass = false;
-          break;
-        }
+        if (!CheckPasses(c, cols[c.col_slot][r])) return;
       }
-      if (!pass) continue;
       ++rows_kept;
       size_t slot = 0;
       if (spec.has_group) {
@@ -351,7 +346,7 @@ StatusOr<ResultSet> QueryCompiler::Execute(const PlanPtr& plan) {
         if (v < g.min) g.min = v;
         if (v > g.max) g.max = v;
       }
-    }
+    });
 
     if (trace_) {
       OperatorSpan kernel;
@@ -364,30 +359,28 @@ StatusOr<ResultSet> QueryCompiler::Execute(const PlanPtr& plan) {
       root.children.push_back(std::move(kernel));
     }
 
-    if (opts_.track_access) {
-      if (AccessObserver* observer = db_->access_observer()) {
-        AccessEvent event;
-        event.partition = name;
-        event.rows_scanned = n;
-        event.bytes = rows_kept * spec.slots.size() * 8;
-        // The fused loop always sweeps every row, but classify the access
-        // the way the interpreted scan would have served it, so compiled
-        // point reads keep their OLTP heat weighting.
-        size_t range_col = 0;
-        uint64_t lo = 0, hi = 0;
-        event.point_read =
-            scan.scan_predicate != nullptr &&
-            TryIdRangePredicate(guard, *scan.scan_predicate, &range_col, &lo, &hi);
-        // Exactly the columns the fused kernel touched: its materialized
-        // slots plus the group-by column it decodes directly.
-        for (const auto& [col, _] : spec.slots) {
-          event.columns.push_back(guard.schema().column(col).name);
-        }
-        if (spec.has_group && spec.slots.find(spec.group_col) == spec.slots.end()) {
-          event.columns.push_back(guard.schema().column(spec.group_col).name);
-        }
-        observer->OnAccess(event);
+    if (AccessObserver* observer = db_->access_observer()) {
+      AccessEvent event;
+      event.partition = name;
+      event.rows_scanned = n;
+      event.bytes = rows_kept * spec.slots.size() * 8;
+      // The fused loop always sweeps every row, but classify the access
+      // the way the interpreted scan would have served it, so compiled
+      // point reads keep their OLTP heat weighting.
+      size_t range_col = 0;
+      uint64_t lo = 0, hi = 0;
+      event.point_read =
+          scan.scan_predicate != nullptr &&
+          TryIdRangePredicate(guard, *scan.scan_predicate, &range_col, &lo, &hi);
+      // Exactly the columns the fused kernel touched: its materialized
+      // slots plus the group-by column it decodes directly.
+      for (const auto& [col, _] : spec.slots) {
+        event.columns.push_back(guard.schema().column(col).name);
       }
+      if (spec.has_group && spec.slots.find(spec.group_col) == spec.slots.end()) {
+        event.columns.push_back(guard.schema().column(spec.group_col).name);
+      }
+      observer->OnAccess(event);
     }
   }
 

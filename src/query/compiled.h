@@ -29,9 +29,7 @@ class QueryCompiler {
   QueryCompiler(const Database* db, ReadView view)
       : QueryCompiler(db, view, db->exec_options()) {}
   /// Runs with explicit options. The fused loop is single-threaded by
-  /// construction, so only `trace` and `track_access` apply here; internal
-  /// scans that must not perturb tiering heat pass track_access = false,
-  /// exactly as on the interpreted path.
+  /// construction, so only `trace` and `budget` apply here.
   QueryCompiler(const Database* db, ReadView view, const ExecOptions& opts)
       : db_(db), view_(view), opts_(opts), trace_(opts.trace) {}
 

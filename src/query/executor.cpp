@@ -1403,22 +1403,20 @@ Status Executor::SelectScan(const PlanNode& node, ScanSelection* out) {
     counters.count->Add(1);
     counters.rows->Add(scanned);
     counters.bytes->Add(bytes);
-    if (opts_.track_access) {
-      if (AccessObserver* observer = db_->access_observer()) {
-        AccessEvent event;
-        event.partition = name;
-        event.rows_scanned = scanned;
-        event.bytes = bytes;
-        event.point_read = spec.one_atom;
-        // Per-column heat names exactly the columns this scan read: the
-        // emitted ones plus the predicate's.
-        std::set<size_t> read(part.emit.begin(), part.emit.end());
-        if (node.scan_predicate) node.scan_predicate->CollectColumns(&read);
-        for (size_t c : read) {
-          if (c < schema.num_columns()) event.columns.push_back(schema.column(c).name);
-        }
-        observer->OnAccess(event);
+    if (AccessObserver* observer = db_->access_observer()) {
+      AccessEvent event;
+      event.partition = name;
+      event.rows_scanned = scanned;
+      event.bytes = bytes;
+      event.point_read = spec.one_atom;
+      // Per-column heat names exactly the columns this scan read: the
+      // emitted ones plus the predicate's.
+      std::set<size_t> read(part.emit.begin(), part.emit.end());
+      if (node.scan_predicate) node.scan_predicate->CollectColumns(&read);
+      for (size_t c : read) {
+        if (c < schema.num_columns()) event.columns.push_back(schema.column(c).name);
       }
+      observer->OnAccess(event);
     }
     out->parts.push_back(std::move(part));
   }

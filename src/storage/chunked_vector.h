@@ -9,29 +9,30 @@
 
 namespace poly {
 
-/// Reader-safe append-only value storage (DESIGN.md §12.5): the VersionStore
-/// chunk/epoch scheme generalized to arbitrary element types. Values live in
-/// preallocated fixed-size chunks that never move once published; a chunk
-/// *directory* (array of atomic chunk pointers) is republished RCU-style when
-/// it fills, and the count of fully-written elements is a watermark stored
-/// INSIDE the directory so a reader always pairs a directory with a
-/// consistent size. Chunks are never retired by growth (only the pointer
-/// array is), so a `const T&` obtained under a pin stays valid for the
-/// lifetime of the ChunkedVector itself.
+/// Reader-safe append-only chunked storage (DESIGN.md §12.1): the one chunk
+/// directory of the storage layer. Version stamps (VersionStore), column
+/// delta ids, delta-dictionary values and row-table rows all live in one.
+/// Elements live in preallocated fixed-size chunks that never move once
+/// published; a chunk *directory* (array of atomic chunk pointers) is
+/// republished RCU-style when it fills, and the count of fully-written
+/// elements is a watermark stored INSIDE the directory so a reader always
+/// pairs a directory with a consistent size. Chunks are never retired by
+/// growth (only the pointer array is, into the table's EpochGC), so a
+/// `const T&` obtained under a pin stays valid for the lifetime of the
+/// ChunkedVector itself.
 ///
-/// Thread model mirrors VersionStore:
+/// Thread model:
 ///  - any number of concurrent readers, each reading through a Snapshot
-///    taken under an EpochGC pin when `gc` is non-null;
+///    taken under a pin on `gc`;
 ///  - exactly one logical writer at a time (Append); callers serialize
-///    writers externally;
-///  - with `gc == nullptr` the structure is single-threaded (standalone
-///    tests): retired directories are freed immediately.
+///    writers externally.
 template <typename T>
 class ChunkedVector {
  public:
   static constexpr uint64_t kInitialDirectoryChunks = 4;
 
-  /// `chunk_rows` must be a power of two.
+  /// `gc` is the owning table's EpochGC; `chunk_rows` must be a power of
+  /// two.
   explicit ChunkedVector(EpochGC* gc, uint64_t chunk_rows = 256)
       : gc_(gc),
         chunk_rows_(chunk_rows),
@@ -40,10 +41,9 @@ class ChunkedVector {
         dir_(new Directory(kInitialDirectoryChunks)) {}
 
   ~ChunkedVector() {
-    // Contract: no live readers. Retired directories were handed to the gc
-    // (or freed immediately when gc_ == nullptr); only the current one and
-    // the chunks — which are shared across all directory generations and
-    // freed exactly once, here — remain.
+    // Contract: no live readers. Retired directories were handed to the gc;
+    // only the current one and the chunks — which are shared across all
+    // directory generations and freed exactly once, here — remain.
     Directory* dir = dir_.load(std::memory_order_relaxed);
     for (uint64_t i = 0; i < dir->capacity; ++i) {
       delete[] dir->chunks[i].load(std::memory_order_relaxed);
@@ -97,8 +97,7 @@ class ChunkedVector {
     uint64_t mask_ = 0;
   };
 
-  /// Caller must hold a pin on the associated EpochGC (or be the writer,
-  /// or single-threaded when gc_ == nullptr).
+  /// Caller must hold a pin on the associated EpochGC (or be the writer).
   Snapshot Snap() const {
     return Snapshot(dir_.load(std::memory_order_seq_cst), chunk_shift_,
                     chunk_mask_);
@@ -168,12 +167,8 @@ class ChunkedVector {
     dir_.store(bigger, std::memory_order_seq_cst);
     // Only the pointer array is retired — chunks are shared with the new
     // directory and live on until the destructor.
-    if (gc_ != nullptr) {
-      gc_->Retire([old] { delete old; });
-      gc_->ReclaimExpired();
-    } else {
-      delete old;
-    }
+    gc_->Retire([old] { delete old; });
+    gc_->ReclaimExpired();
     return bigger;
   }
 

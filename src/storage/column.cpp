@@ -4,16 +4,14 @@
 
 namespace poly {
 
-Column::Column(bool compress_main, EpochGC* gc)
+Column::Column(EpochGC* gc, bool compress_main)
     : compress_main_(compress_main),
-      owned_gc_(gc == nullptr ? std::make_unique<EpochGC>() : nullptr),
-      gc_(gc == nullptr ? owned_gc_.get() : gc),
+      gc_(gc),
       state_(new State(gc_, kDeltaChunkRows)) {}
 
 Column::~Column() {
-  // Contract: no live Readers. States retired by Merge are freed by the gc
-  // (the owned one's destructor runs right after this member teardown, a
-  // shared one when its table tears down).
+  // Contract: no live Readers. States retired by Merge are freed by the
+  // table's gc when the table tears down.
   delete state_.load(std::memory_order_relaxed);
 }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/bitpack.h"
@@ -42,10 +41,8 @@ class Column {
   /// `compress_main`: false relaxes reference compression to 64-bit IDs,
   /// trading size for cheaper decoding — the §IV-A trade for SOE nodes.
   /// Only experiment E3 uses the relaxed mode; SOE nodes host compressed
-  /// tables like every other table.
-  /// A null `gc` means single-threaded standalone use (tests): the column
-  /// owns a private gc.
-  explicit Column(bool compress_main = true, EpochGC* gc = nullptr);
+  /// tables like every other table. `gc` is the owning table's EpochGC.
+  explicit Column(EpochGC* gc, bool compress_main = true);
   ~Column();
   Column(const Column&) = delete;
   Column& operator=(const Column&) = delete;
@@ -69,12 +66,11 @@ class Column {
   uint64_t Append(const Value& v);
 
   /// The read API: a consistent view of the column taken under an EpochGC
-  /// pin (a table ReadGuard holds one; a standalone single-threaded column
-  /// needs none). It holds the state pointer (seq_cst, pairs with Merge's
-  /// republish), a delta row-id snapshot, and — taken after it — a delta
-  /// dictionary snapshot covering every id the row snapshot can yield. No
-  /// mutable cache: one Reader may be shared by all threads of a morsel
-  /// fan-out.
+  /// pin (a table ReadGuard holds one). It holds the state pointer
+  /// (seq_cst, pairs with Merge's republish), a delta row-id snapshot, and —
+  /// taken after it — a delta dictionary snapshot covering every id the row
+  /// snapshot can yield. No mutable cache: one Reader may be shared by all
+  /// threads of a morsel fan-out.
   class Reader {
    public:
     Reader() = default;
@@ -134,10 +130,7 @@ class Column {
   static constexpr uint64_t kDeltaChunkRows = 256;
 
   bool compress_main_;
-  // Declared before state_ so the owned gc (when present) is destroyed
-  // after the current state; retired states are freed by the gc destructor.
-  std::unique_ptr<EpochGC> owned_gc_;
-  EpochGC* gc_;  // never null
+  EpochGC* gc_;
   std::atomic<State*> state_;
 };
 

@@ -15,10 +15,9 @@ ColumnTable::ColumnTable(std::string name, Schema schema, bool compress_main)
   st->schema = std::move(schema);
   st->cols.reserve(st->schema.num_columns());
   for (size_t i = 0; i < st->schema.num_columns(); ++i) {
-    st->cols.push_back(std::make_shared<Column>(compress_main_, &gc_));
+    st->cols.push_back(std::make_shared<Column>(&gc_, compress_main_));
   }
-  st->versions =
-      std::make_shared<VersionStore>(VersionStore::kDefaultChunkRows, &gc_);
+  st->versions = std::make_shared<VersionStore>(&gc_);
   state_.store(st, std::memory_order_release);
 }
 
@@ -130,7 +129,7 @@ Status ColumnTable::AddColumn(ColumnDef def) {
   if (!def.nullable) {
     return Status::InvalidArgument("late-added columns must be nullable");
   }
-  auto col = std::make_shared<Column>(compress_main_, &gc_);
+  auto col = std::make_shared<Column>(&gc_, compress_main_);
   for (uint64_t r = 0; r < st->versions->WriterSize(); ++r) {
     col->Append(Value::Null());
   }
@@ -144,6 +143,7 @@ Status ColumnTable::AddColumn(ColumnDef def) {
   fresh->cols = st->cols;
   fresh->cols.push_back(std::move(col));
   fresh->versions = st->versions;
+  fresh->vacuums = st->vacuums;
   state_.store(fresh, std::memory_order_seq_cst);
   gc_.Retire([st] { delete st; });
   gc_.ReclaimExpired();
@@ -210,16 +210,16 @@ uint64_t ColumnTable::Vacuum(uint64_t watermark) {
   fresh->schema = st->schema;
   fresh->cols.reserve(st->cols.size());
   for (size_t c = 0; c < st->cols.size(); ++c) {
-    auto col = std::make_shared<Column>(compress_main_, &gc_);
+    auto col = std::make_shared<Column>(&gc_, compress_main_);
     for (uint64_t r : survivors) col->Append(st->cols[c]->Get(r));
     col->Merge(st->schema.column(c).generated_key_order);
     fresh->cols.push_back(std::move(col));
   }
-  fresh->versions =
-      std::make_shared<VersionStore>(VersionStore::kDefaultChunkRows, &gc_);
+  fresh->versions = std::make_shared<VersionStore>(&gc_);
   for (const auto& [cts, dts] : surviving_stamps) {
     fresh->versions->Append(cts, dts);
   }
+  fresh->vacuums = st->vacuums + 1;
   state_.store(fresh, std::memory_order_seq_cst);
   gc_.Retire([st] { delete st; });
   gc_.ReclaimExpired();

@@ -58,6 +58,7 @@ class ColumnTable {
     Schema schema;
     std::vector<std::shared_ptr<Column>> cols;
     std::shared_ptr<VersionStore> versions;
+    uint64_t vacuums = 0;  // renumbering Vacuums behind this generation
   };
 
  public:
@@ -94,6 +95,9 @@ class ColumnTable {
 
     const Schema& schema() const { return state_->schema; }
     size_t num_columns() const { return readers_.size(); }
+    /// How many Vacuums have renumbered the rows this guard reads. Row ids
+    /// taken under a guard with another count name other rows.
+    uint64_t vacuum_count() const { return state_->vacuums; }
     const Column::Reader& col(size_t c) const { return readers_[c]; }
 
     Value GetValue(uint64_t row, size_t c) const { return readers_[c].Get(row); }

@@ -67,10 +67,10 @@ class Database {
   /// thread is the remaining runner). Null while the default is serial.
   ThreadPool* exec_pool() const;
 
-  /// Access observer fed by the executors after every partition scan (when
-  /// ExecOptions::track_access is on). Null by default; set by the tiering
-  /// daemon. The observer must outlive the queries that see it — detach
-  /// (set nullptr) and quiesce before destroying it.
+  /// Access observer fed by the executors after every partition scan. Null
+  /// by default; set by the tiering daemon. The observer must outlive the
+  /// queries that see it — detach (set nullptr) and quiesce before
+  /// destroying it.
   void set_access_observer(AccessObserver* observer) {
     access_observer_.store(observer, std::memory_order_release);
   }

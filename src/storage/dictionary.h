@@ -66,8 +66,8 @@ class SortedDictionary {
 /// covers the value store.
 class DeltaDictionary {
  public:
-  /// A null `gc` means single-threaded standalone use (tests).
-  explicit DeltaDictionary(EpochGC* gc = nullptr, uint64_t chunk_rows = 256)
+  /// `gc` is the owning table's EpochGC.
+  explicit DeltaDictionary(EpochGC* gc, uint64_t chunk_rows = 256)
       : values_(gc, chunk_rows) {}
 
   /// Returns the ID of v, inserting it if new. Writer-only.

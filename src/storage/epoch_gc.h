@@ -13,9 +13,9 @@ namespace poly {
 /// Epoch-based reclamation shared by every chunked, RCU-published structure
 /// of a table: version stamps, column delta ids, delta-dictionary values,
 /// row chunks, and the table state itself (DESIGN.md §12.3/§12.4).
-/// Extracted from VersionStore so stamps and values share ONE pin: a reader
-/// pins once, and every directory it snapshots under that pin is protected
-/// together — this is what makes the unified table ReadGuard possible.
+/// Stamps and values share ONE pin: a reader pins once, and every directory
+/// it snapshots under that pin is protected together — this is what makes
+/// the unified table ReadGuard possible.
 ///
 /// Thread model: any number of concurrent Pin/Unpin callers; Retire and
 /// ReclaimExpired may run concurrently with each other and with readers

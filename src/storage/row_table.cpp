@@ -24,6 +24,8 @@ Status RowTable::SetDeleteStamp(uint64_t row, uint64_t stamp) {
 }
 
 size_t RowTable::MemoryBytes() const {
+  // One pin for both directory reads, as ColumnTable::MemoryBytes takes.
+  EpochPin pin(&gc_);
   size_t bytes = versions_.MemoryBytes() + rows_.MemoryBytes();
   for (uint64_t r = 0; r < rows_.WriterSize(); ++r) {
     const Row& row = rows_.WriterAt(r);

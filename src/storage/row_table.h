@@ -94,7 +94,7 @@ class RowTable {
   // gc_ first: the version store and row storage both retire into it; their
   // destructors never call back into it.
   EpochGC gc_;
-  VersionStore versions_{VersionStore::kDefaultChunkRows, &gc_};
+  VersionStore versions_{&gc_};
   ChunkedVector<Row> rows_{&gc_, 256};
 };
 

@@ -41,9 +41,14 @@ namespace {
 // Deterministic single-threaded unit tests for the chunk directory.
 // ---------------------------------------------------------------------------
 
+Schema OrderSchema() {
+  return Schema({ColumnDef("id", DataType::kInt64),
+                 ColumnDef("amount", DataType::kDouble)});
+}
+
 TEST(VersionStore, ChunkBoundaryAppend) {
   EpochGC gc;
-  VersionStore vs(/*chunk_rows=*/4, &gc);
+  VersionStore vs(&gc, /*chunk_rows=*/4);
   for (uint64_t i = 0; i < 10; ++i) {
     EXPECT_EQ(vs.Append(/*cts=*/100 + i, /*dts=*/0), i);
   }
@@ -62,7 +67,7 @@ TEST(VersionStore, ChunkBoundaryAppend) {
 
 TEST(VersionStore, DirectoryGrowthPreservesStampsAndReclaims) {
   EpochGC gc;
-  VersionStore vs(/*chunk_rows=*/4, &gc);
+  VersionStore vs(&gc, /*chunk_rows=*/4);
   // Initial directory: 4 chunk slots * 4 rows = 16 rows; push well past two
   // doublings.
   const uint64_t kRows = 4 * 4 * 8;
@@ -75,12 +80,12 @@ TEST(VersionStore, DirectoryGrowthPreservesStampsAndReclaims) {
   }
   // No reader was pinned across growth, so every retired directory has been
   // reclaimed already (Grow retires then immediately reclaims).
-  EXPECT_EQ(vs.retired_count(), 0u);
+  EXPECT_EQ(gc.retired_count(), 0u);
 }
 
 TEST(VersionStore, WatermarkPublicationOrdering) {
   EpochGC gc;
-  VersionStore vs(/*chunk_rows=*/4, &gc);
+  VersionStore vs(&gc, /*chunk_rows=*/4);
   vs.Append(7, 0);
   EpochPin pin(&gc);
   VersionStore::Snapshot before = vs.SnapUnderPin();
@@ -94,66 +99,73 @@ TEST(VersionStore, WatermarkPublicationOrdering) {
   EXPECT_EQ(after.cts(1), 8u);
 }
 
+// Vacuum renumbers rows by publishing a fresh TableState that holds a new
+// VersionStore, and retires the old generation whole: stamps, values and
+// directories together.
 TEST(VersionStore, EpochRetireReclaimSequencing) {
-  EpochGC gc;
-  VersionStore vs(/*chunk_rows=*/4, &gc);
-  for (uint64_t i = 0; i < 8; ++i) vs.Append(10 + i, i % 2 ? 99 : 0);
+  ColumnTable t("t", OrderSchema());
+  for (uint64_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(t.AppendVersion({Value::Int(i), Value::Dbl(1.0)}, 10 + i).ok());
+    if (i % 2) {
+      ASSERT_TRUE(t.SetDeleteStamp(i, 99).ok());
+    }
+  }
 
-  auto* pin = new EpochPin(&gc);  // reader in flight
-  VersionStore::Snapshot pinned = vs.SnapUnderPin();
-  EXPECT_EQ(pinned.size(), 8u);
+  auto* pinned = new ColumnTable::ReadGuard(&t);  // reader in flight
+  EXPECT_EQ(pinned->size(), 8u);
 
-  // Rebuild (what Vacuum does): drop the odd rows, renumber.
-  std::vector<std::pair<uint64_t, uint64_t>> survivors;
-  for (uint64_t i = 0; i < 8; i += 2) survivors.emplace_back(10 + i, 0);
-  vs.Rebuild(survivors);
+  // Vacuum drops the odd rows (deleted at 99, below the watermark) and
+  // renumbers the rest.
+  EXPECT_EQ(t.Vacuum(/*watermark=*/100), 4u);
 
-  // The old chunks + directory are retired but NOT freed: the pinned
-  // snapshot still reads the pre-rebuild history.
-  EXPECT_GE(vs.retired_count(), 1u);
-  EXPECT_EQ(vs.ReclaimExpired(), 0u);  // reclamation never frees pinned chunks
-  EXPECT_GE(vs.retired_count(), 1u);
-  EXPECT_EQ(pinned.size(), 8u);
-  for (uint64_t i = 0; i < 8; ++i) EXPECT_EQ(pinned.cts(i), 10 + i);
+  // The old generation is retired but NOT freed: the pinned guard still
+  // reads the pre-vacuum stamps.
+  EXPECT_GE(t.retired_count(), 1u);
+  EXPECT_EQ(t.ReclaimRetired(), 0u);  // reclamation never frees pinned chunks
+  EXPECT_GE(t.retired_count(), 1u);
+  EXPECT_EQ(pinned->size(), 8u);
+  for (uint64_t i = 0; i < 8; ++i) EXPECT_EQ(pinned->cts(i), 10 + i);
 
-  // New readers see the rebuilt, renumbered history immediately.
+  // New readers see the vacuumed, renumbered history immediately.
   {
-    EpochPin reader(&gc);
-    VersionStore::Snapshot fresh = vs.SnapUnderPin();
+    ColumnTable::ReadGuard fresh(&t);
     EXPECT_EQ(fresh.size(), 4u);
     EXPECT_EQ(fresh.cts(1), 12u);
   }
 
   // Unpin; now the retired epoch is past every pinned epoch and frees run.
-  delete pin;
-  EXPECT_GE(vs.ReclaimExpired(), 1u);
-  EXPECT_EQ(vs.retired_count(), 0u);
+  delete pinned;
+  EXPECT_GE(t.ReclaimRetired(), 1u);
+  EXPECT_EQ(t.retired_count(), 0u);
 }
 
 TEST(VersionStore, ReclaimNeverFreesChunkPinnedAcrossManyRetires) {
-  EpochGC gc;
-  VersionStore vs(/*chunk_rows=*/4, &gc);
-  for (uint64_t i = 0; i < 6; ++i) vs.Append(i + 1, 0);
-  EpochPin pin(&gc);
-  VersionStore::Snapshot g = vs.SnapUnderPin();
-  // Pile up several generations of retired memory under the live pin.
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::pair<uint64_t, uint64_t>> stamps;
-    for (uint64_t i = 0; i < 6 + static_cast<uint64_t>(round); ++i) {
-      stamps.emplace_back(1000 * (round + 1) + i, 0);
-    }
-    vs.Rebuild(stamps);
-    vs.ReclaimExpired();
+  ColumnTable t("t", OrderSchema());
+  for (uint64_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE(t.AppendVersion({Value::Int(i), Value::Dbl(1.0)}, i + 1).ok());
   }
-  // Only the generations newer than the pin were freed; the pinned one
-  // still answers with its original stamps (ASan would flag a freed read).
-  EXPECT_GE(vs.retired_count(), 1u);
+  ColumnTable::ReadGuard g(&t);
+  // Pile up several generations of retired memory under the live pin: each
+  // round appends a row, deletes the first one and vacuums it away, so every
+  // round renumbers the rows into a new generation.
+  for (int round = 0; round < 5; ++round) {
+    uint64_t ts = 1000 * (round + 1);
+    ASSERT_TRUE(t.AppendVersion({Value::Int(100 + round), Value::Dbl(1.0)}, ts).ok());
+    ASSERT_TRUE(t.SetDeleteStamp(0, ts + 1).ok());
+    ASSERT_EQ(t.Vacuum(/*watermark=*/ts + 1), 1u);
+    t.ReclaimRetired();
+  }
+  // Nothing retired under the pin was freed; the pinned generation still
+  // answers with its original stamps (ASan would flag a freed read).
+  EXPECT_GE(t.retired_count(), 5u);
+  ASSERT_EQ(g.size(), 6u);
   for (uint64_t i = 0; i < 6; ++i) EXPECT_EQ(g.cts(i), i + 1);
+  EXPECT_EQ(ColumnTable::ReadGuard(&t).cts(0), 6u);
 }
 
 TEST(VersionStore, WriterStoresVisibleThroughGuards) {
   EpochGC gc;
-  VersionStore vs(/*chunk_rows=*/4, &gc);
+  VersionStore vs(&gc, /*chunk_rows=*/4);
   uint64_t r = vs.Append(kTxnBit | 5, 0);
   EXPECT_EQ(vs.WriterLoadCts(r), kTxnBit | 5);
   vs.WriterStoreCts(r, 42);  // commit resolution
@@ -168,11 +180,6 @@ TEST(VersionStore, WriterStoresVisibleThroughGuards) {
 // ---------------------------------------------------------------------------
 // Concurrent-visibility oracle harness.
 // ---------------------------------------------------------------------------
-
-Schema OrderSchema() {
-  return Schema({ColumnDef("id", DataType::kInt64),
-                 ColumnDef("amount", DataType::kDouble)});
-}
 
 struct CommitRecord {
   uint64_t commit_ts;
@@ -455,7 +462,8 @@ TEST(MvccOracle, FlexibleTableNumRecordsDuringInserts) {
 // ---------------------------------------------------------------------------
 
 TEST(ChunkedValues, ChunkBoundaryAppend) {
-  ChunkedVector<Value> cv(/*gc=*/nullptr, /*chunk_rows=*/4);
+  EpochGC gc;
+  ChunkedVector<Value> cv(&gc, /*chunk_rows=*/4);
   for (uint64_t i = 0; i < 10; ++i) {
     EXPECT_EQ(cv.Append(Value::Int(static_cast<int64_t>(100 + i))), i);
   }

@@ -28,7 +28,8 @@ class MergeInvariants : public ::testing::TestWithParam<int> {};
 
 TEST_P(MergeInvariants, RowsUnchangedDictionarySorted) {
   Random rng(GetParam());
-  Column col;
+  EpochGC gc;
+  Column col(&gc);
   std::vector<Value> expect;
   // Several interleaved append/merge rounds.
   int rounds = 2 + static_cast<int>(rng.Uniform(4));

@@ -696,14 +696,6 @@ TEST_F(CompiledFixture, AccessTrackingHonorsExecOptions) {
   ASSERT_EQ(obs.events.size(), 2u);
   EXPECT_TRUE(obs.events[1].point_read);
 
-  // Internal scans disable track_access to avoid perturbing heat; the
-  // compiled path must honor that just like the interpreted executor.
-  ExecOptions quiet;
-  quiet.track_access = false;
-  QueryCompiler internal(&db_, tm_.AutoCommitView(), quiet);
-  ASSERT_TRUE(internal.Execute(sweep).ok());
-  EXPECT_EQ(obs.events.size(), 2u);
-
   db_.set_access_observer(nullptr);
 }
 

@@ -61,7 +61,8 @@ TEST(SortedDictionaryTest, AllGreaterThanMax) {
 }
 
 TEST(DeltaDictionaryTest, FirstComeIds) {
-  DeltaDictionary d;
+  EpochGC gc;
+  DeltaDictionary d(&gc);
   EXPECT_EQ(d.GetOrAdd(Value::Str("b")), 0u);
   EXPECT_EQ(d.GetOrAdd(Value::Str("a")), 1u);
   EXPECT_EQ(d.GetOrAdd(Value::Str("b")), 0u);
@@ -71,7 +72,8 @@ TEST(DeltaDictionaryTest, FirstComeIds) {
 }
 
 TEST(ColumnTest, AppendAndGetFromDelta) {
-  Column col;
+  EpochGC gc;
+  Column col(&gc);
   col.Append(Value::Str("x"));
   col.Append(Value::Str("y"));
   col.Append(Value::Str("x"));
@@ -85,7 +87,8 @@ TEST(ColumnTest, AppendAndGetFromDelta) {
 }
 
 TEST(ColumnTest, MergeMovesDeltaToSortedMain) {
-  Column col;
+  EpochGC gc;
+  Column col(&gc);
   col.Append(Value::Str("banana"));
   col.Append(Value::Str("apple"));
   col.Append(Value::Str("cherry"));
@@ -108,7 +111,8 @@ TEST(ColumnTest, MergeMovesDeltaToSortedMain) {
 }
 
 TEST(ColumnTest, SecondMergeMixedValuesRemapsIds) {
-  Column col;
+  EpochGC gc;
+  Column col(&gc);
   for (int v : {10, 30, 50}) col.Append(Value::Int(v));
   col.Merge();
   for (int v : {20, 40, 30}) col.Append(Value::Int(v));
@@ -131,7 +135,8 @@ TEST(ColumnTest, SecondMergeMixedValuesRemapsIds) {
 TEST(ColumnTest, MergeKeepsValuesThatTieButDiffer) {
   const int64_t big = (int64_t{1} << 53) + 1;
   for (bool int_first : {true, false}) {
-    Column col;
+    EpochGC gc;
+    Column col(&gc);
     std::vector<Value> rows = {Value::Int(3), Value::Dbl(3.0), Value::Int(big),
                                Value::Int(big - 1), Value::Dbl(2.5)};
     if (!int_first) std::swap(rows[0], rows[1]);
@@ -160,7 +165,8 @@ TEST(ColumnTest, MergeKeepsValuesThatTieButDiffer) {
 }
 
 TEST(ColumnTest, GeneratedOrderFastPathSkipsReencode) {
-  Column col;
+  EpochGC gc;
+  Column col(&gc);
   for (int v = 0; v < 100; ++v) col.Append(Value::Int(v));
   col.Merge();
   for (int v = 100; v < 200; ++v) col.Append(Value::Int(v));
@@ -173,7 +179,8 @@ TEST(ColumnTest, GeneratedOrderFastPathSkipsReencode) {
 }
 
 TEST(ColumnTest, FastPathHintFallsBackWhenViolated) {
-  Column col;
+  EpochGC gc;
+  Column col(&gc);
   for (int v = 0; v < 10; ++v) col.Append(Value::Int(v));
   col.Merge();
   col.Append(Value::Int(5));  // violates the "all greater" promise
@@ -185,7 +192,8 @@ TEST(ColumnTest, FastPathHintFallsBackWhenViolated) {
 }
 
 TEST(ColumnTest, UncompressedModeUses64BitIds) {
-  Column packed(true), wide(false);
+  EpochGC gc;
+  Column packed(&gc, true), wide(&gc, false);
   for (int v = 0; v < 1000; ++v) {
     packed.Append(Value::Int(v % 4));
     wide.Append(Value::Int(v % 4));

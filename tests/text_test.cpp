@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "engines/text/text_engine.h"
 #include "storage/database.h"
 #include "txn/transaction_manager.h"
@@ -253,7 +255,87 @@ TEST(TextEngineTest, SentimentOfRow) {
   auto engine = TextEngine::Create(docs, "body");
   ASSERT_TRUE(engine.ok());
   engine->Refresh();
-  EXPECT_GT(engine->RowSentiment(0), 0.5);
+  EXPECT_GT(*engine->RowSentiment(0), 0.5);
+  EXPECT_EQ(engine->RowSentiment(1).status().code(), StatusCode::kOutOfRange);
+}
+
+// Vacuum renumbers rows. The engine reads no row past the table's end, and
+// Refresh re-indexes from row 0 even after later inserts regrow the table
+// past where the last Refresh stopped, so every row id it names is current.
+TEST(TextEngineTest, VacuumRenumberingReindexes) {
+  Database db;
+  TransactionManager tm;
+  Schema s({ColumnDef("id", DataType::kInt64), ColumnDef("body", DataType::kString)});
+  ColumnTable* docs = *db.CreateTable("docs", s);
+  Schema ent_schema({ColumnDef("doc_row", DataType::kInt64),
+                     ColumnDef("kind", DataType::kString),
+                     ColumnDef("entity", DataType::kString)});
+  TextEngine engine = *TextEngine::Create(docs, "body");
+
+  auto insert = [&](int from, int to, const std::string& word) {
+    auto txn = tm.Begin();
+    for (int i = from; i < to; ++i) {
+      ASSERT_TRUE(tm.Insert(txn.get(), docs,
+                            {Value::Int(i), Value::Str(word + " order from Acme Corp")})
+                      .ok());
+    }
+    ASSERT_TRUE(tm.Commit(txn.get()).ok());
+  };
+  // Extracts into a fresh table; returns {entities, largest doc_row}.
+  int extractions = 0;
+  auto extract = [&]() {
+    ColumnTable* target =
+        *db.CreateTable("entities" + std::to_string(extractions++), ent_schema);
+    auto written = engine.ExtractEntitiesTo(&tm, target);
+    EXPECT_TRUE(written.ok());
+    int64_t max_row = -1;
+    ColumnTable::ReadGuard g(target);
+    g.ScanVisible(tm.AutoCommitView(), [&](uint64_t r) {
+      max_row = std::max(max_row, g.GetValue(r, 0).AsInt());
+    });
+    return std::make_pair(written.ok() ? *written : 0, max_row);
+  };
+
+  insert(0, 2000, "turbine");
+  EXPECT_EQ(engine.Refresh(), 2000u);
+  {
+    auto txn = tm.Begin();
+    for (uint64_t r = 100; r < 2000; ++r) ASSERT_TRUE(tm.Delete(txn.get(), docs, r).ok());
+    ASSERT_TRUE(tm.Commit(txn.get()).ok());
+  }
+  ASSERT_EQ(docs->Vacuum(tm.OldestActiveSnapshot()), 1900u);
+
+  // Before the next Refresh: only the 100 rows the table still has.
+  const uint64_t per_doc = ExtractEntities("turbine order from Acme Corp").size();
+  ASSERT_GT(per_doc, 0u);
+  auto [shrunk_written, shrunk_max] = extract();
+  EXPECT_EQ(shrunk_written, 100 * per_doc);
+  EXPECT_EQ(shrunk_max, 99);
+  EXPECT_EQ(engine.RowSentiment(100).status().code(), StatusCode::kOutOfRange);
+
+  // More inserts than were removed: 2100 rows, past the 2000 indexed.
+  insert(2000, 4000, "compressor");
+  EXPECT_EQ(engine.Refresh(), 2100u);
+
+  ColumnTable::ReadGuard g(docs);
+  ASSERT_EQ(g.size(), 2100u);
+  auto old_hits = engine.Search("turbine", 5000);
+  EXPECT_EQ(old_hits.size(), 100u);
+  for (const SearchHit& h : old_hits) {
+    ASSERT_LT(h.doc_id, g.size());
+    EXPECT_LT(g.GetValue(h.doc_id, 0).AsInt(), 100);
+  }
+  auto new_hits = engine.Search("compressor", 5000);
+  EXPECT_EQ(new_hits.size(), 2000u);
+  for (const SearchHit& h : new_hits) {
+    ASSERT_LT(h.doc_id, g.size());
+    EXPECT_GE(g.GetValue(h.doc_id, 0).AsInt(), 2000);
+  }
+
+  auto [written, max_row] = extract();
+  EXPECT_EQ(written, 2100 * per_doc);
+  EXPECT_EQ(max_row, 2099);
+  EXPECT_TRUE(engine.RowSentiment(2099).ok());
 }
 
 }  // namespace
