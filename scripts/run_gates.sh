@@ -21,7 +21,12 @@
 #                  result checks, the BENCHMARK.json metric names and exact
 #                  counts that must repeat across two traced runs; the only
 #                  check on perfbench's traced copies of Database::Execute
-#                  and SoeSqlBridge::Execute
+#                  and SoeSqlBridge::Execute. The Database::Execute copy
+#                  keeps a compiled-kernel branch and an admission step that
+#                  the library no longer has; neither changes what runs (no
+#                  SQL plan is kernel-eligible, and the copy hands its
+#                  ticket's budget to the Executor, which then does not
+#                  admit again)
 #   7. asan        whole-suite AddressSanitizer+UBSan build + run
 #                  (POLY_SANITIZE=address; ctest -L tsan-full in build-asan)
 #   8. tsan        whole-suite ThreadSanitizer build + run

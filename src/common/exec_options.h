@@ -6,8 +6,6 @@
 
 namespace poly {
 
-class ThreadPool;
-
 namespace resource {
 class BudgetNode;
 }  // namespace resource
@@ -21,6 +19,8 @@ struct ExecOptions {
   static constexpr size_t kDefaultMorselRows = 16384;
 
   /// Total threads a query may use, calling thread included. <= 1 = serial.
+  /// A parallel query runs on its Database's pool for this thread count
+  /// (`Database::exec_pool`): num_threads - 1 workers plus the caller.
   size_t num_threads = 1;
 
   /// Rows per morsel — the dispatch granule for table scans and for
@@ -28,11 +28,6 @@ struct ExecOptions {
   /// both this value and num_threads, except that floating-point aggregate
   /// sums follow the morsel-ordered reduction tree (see DESIGN.md §5).
   size_t morsel_rows = kDefaultMorselRows;
-
-  /// Optional externally owned worker pool. When null and num_threads > 1
-  /// the executor uses its Database's shared pool (created on demand) or,
-  /// for ad-hoc executors with explicit options, a private pool.
-  ThreadPool* pool = nullptr;
 
   /// Record per-operator spans (rows in/out, bytes, wall + coordinator CPU
   /// nanos) and attach an EXPLAIN ANALYZE-style trace to the top-level
@@ -42,10 +37,9 @@ struct ExecOptions {
 
   /// Workload class this query runs under ("oltp", "olap", "batch", ...).
   /// Empty means the governor's default class. Consulted whenever a
-  /// ResourceGovernor is attached to the Database: `Database::Execute`
-  /// admits per statement, and an ad-hoc `Executor::Execute` with no budget
-  /// of its own mints a ticket in this class too (DESIGN.md §13.2) — SOE
-  /// fragment execution enters through exactly that path.
+  /// ResourceGovernor is attached to the Database: `Executor::Execute` with
+  /// no budget of its own mints a ticket in this class (DESIGN.md §13.2),
+  /// whether it runs a `Database::Execute` statement or an SOE fragment.
   std::string workload_class;
 
   /// Memory budget to charge operator materializations against (hash join

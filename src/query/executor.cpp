@@ -1181,22 +1181,14 @@ bool TryIdRangePredicate(const ColumnTable::ReadGuard& guard, const Expr& pred,
 }
 
 Executor::Executor(const Database* db, ReadView view)
-    : Executor(db, view, db->exec_options()) {
-  if (!opts_.pool) opts_.pool = db->exec_pool();
-}
+    : Executor(db, view, db->exec_options()) {}
 
 Executor::Executor(const Database* db, ReadView view, const ExecOptions& opts)
     : db_(db), view_(view), opts_(opts) {}
 
-Executor::~Executor() = default;
-
 ThreadPool* Executor::pool() {
-  if (opts_.num_threads <= 1) return nullptr;
-  if (opts_.pool) return opts_.pool;
-  if (!owned_pool_) {
-    owned_pool_ = std::make_unique<ThreadPool>(opts_.num_threads - 1);
-  }
-  return owned_pool_.get();
+  if (pool_ == nullptr) pool_ = db_->exec_pool(opts_.num_threads);
+  return pool_;
 }
 
 const Executor::ScanCounters& Executor::scan_counters(bool aged) {
@@ -1213,10 +1205,10 @@ const Executor::ScanCounters& Executor::scan_counters(bool aged) {
 
 StatusOr<ResultSet> Executor::Execute(const PlanPtr& plan) {
   if (!plan) return Status::InvalidArgument("null plan");
-  // Ad-hoc admission (DESIGN.md §13.2): a directly constructed Executor on
-  // a governed database mints its own ticket in the caller's workload class
-  // instead of bypassing admission. Callers already holding a per-query
-  // budget (Database::Execute threads the ticket's node in) pass through.
+  // Admission (DESIGN.md §13.2), the one site: on a governed database an
+  // execution that brings no budget of its own mints a ticket in the
+  // caller's workload class. Callers already holding a per-query budget
+  // pass through.
   resource::AdmissionTicket ticket;
   resource::BudgetNode* entry_budget = opts_.budget;
   if (entry_budget == nullptr && db_->resource_governor() != nullptr) {

@@ -61,13 +61,11 @@ bool TryIdRangePredicate(const ColumnTable::ReadGuard& guard, const Expr& pred,
 class Executor {
  public:
   /// Runs with the database's default execution options (serial unless
-  /// Database::set_exec_options opted in) and its shared pool.
+  /// Database::set_exec_options opted in).
   Executor(const Database* db, ReadView view);
-  /// Runs with explicit options (e.g. a parallel analytic session). When
-  /// opts.pool is null and opts.num_threads > 1, a private pool with
-  /// num_threads - 1 workers is created on first use.
+  /// Runs with explicit options (e.g. a parallel analytic session). Either
+  /// way a parallel query runs on db->exec_pool(opts.num_threads).
   Executor(const Database* db, ReadView view, const ExecOptions& opts);
-  ~Executor();
 
   StatusOr<ResultSet> Execute(const PlanPtr& plan);
 
@@ -198,7 +196,8 @@ class Executor {
   StatusOr<ResultSet> ExecPartialAggregate(const PlanNode& node);
   StatusOr<ResultSet> ExecFinalAggregate(const PlanNode& node);
 
-  /// Pool backing parallel execution; null when serial.
+  /// The database's pool for opts_.num_threads, looked up on first use;
+  /// null when serial.
   ThreadPool* pool();
   size_t morsel_rows() const {
     return opts_.morsel_rows ? opts_.morsel_rows : ExecOptions::kDefaultMorselRows;
@@ -216,7 +215,7 @@ class Executor {
   const Database* db_;
   ReadView view_;
   ExecOptions opts_;
-  std::unique_ptr<ThreadPool> owned_pool_;
+  ThreadPool* pool_ = nullptr;
   ScanCounters hot_counters_, aged_counters_;
   ExecStats stats_;
   std::shared_ptr<OperatorSpan> trace_root_;  ///< shared with the ResultSet

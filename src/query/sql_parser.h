@@ -32,7 +32,7 @@ namespace poly {
 ///
 /// Column names resolve against the FROM/JOIN tables; after a join, names
 /// may be qualified ("orders.id") to disambiguate. The resulting plan runs
-/// through the usual Optimizer/Executor/QueryCompiler pipeline.
+/// through the Optimizer and the Executor (Database::Execute).
 ///
 /// HAVING requires GROUP BY or an aggregate select list and resolves
 /// against the aggregate's output: GROUP BY columns (by name or alias),
@@ -45,8 +45,7 @@ namespace poly {
 ///
 /// DISTINCT dedups the projected rows before ORDER BY/LIMIT, lowered as an
 /// Aggregate over every output column with no aggregate functions — rows
-/// keep first-occurrence order. The compiled path declines that shape and
-/// Database::Execute falls back to the interpreted executor.
+/// keep first-occurrence order.
 class SqlParser {
  public:
   explicit SqlParser(const Database* db) : db_(db) {}

@@ -18,8 +18,9 @@ namespace resource {
 /// AdmissionController over named workload classes, and a PressureBroker
 /// wired to whatever spill target the embedder binds (normally
 /// TieringDaemon::SpillForPressure). A Database points at one governor via
-/// `set_resource_governor`; every `Database::Execute` call then passes
-/// through admission and runs under a per-query budget.
+/// `set_resource_governor`; every `Executor::Execute` on it that brings no
+/// budget of its own (every `Database::Execute` statement among them) then
+/// passes through admission and runs under a per-query budget.
 class ResourceGovernor {
  public:
   struct Options {
@@ -49,7 +50,7 @@ class ResourceGovernor {
   /// storage growth is governed by pressure-driven spill, not rejection).
   BudgetNode* storage_node() { return storage_; }
 
-  /// Admission entry point used by Database::Execute. Empty class name
+  /// Admission entry point, called by Executor::Execute. Empty class name
   /// means Options::default_class.
   StatusOr<AdmissionTicket> AdmitQuery(const std::string& workload_class) {
     return admission_.Admit(workload_class);

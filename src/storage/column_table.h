@@ -187,7 +187,8 @@ class ColumnTable {
   /// guard (DESIGN.md §12.4/§12.5).
   uint64_t Vacuum(uint64_t watermark);
 
-  /// Bytes across all columns plus MVCC storage.
+  /// Bytes across all columns plus MVCC storage. Pins, and reads only
+  /// published state, so it may run beside writers and merges.
   size_t MemoryBytes() const;
 
   /// Binds this table's footprint to a memory-budget node (normally the

@@ -1,7 +1,6 @@
 #include "storage/database.h"
 
 #include "common/thread_pool.h"
-#include "query/compiled.h"
 #include "query/executor.h"
 #include "query/optimizer.h"
 #include "query/sql_parser.h"
@@ -92,7 +91,6 @@ std::vector<std::string> Database::TableNames() const {
 
 void Database::set_exec_options(const ExecOptions& opts) {
   std::lock_guard<std::mutex> lock(mu_);
-  exec_pool_.reset();  // rebuilt on demand at the new width
   exec_options_ = opts;
 }
 
@@ -101,13 +99,12 @@ ExecOptions Database::exec_options() const {
   return exec_options_;
 }
 
-ThreadPool* Database::exec_pool() const {
+ThreadPool* Database::exec_pool(size_t num_threads) const {
+  if (num_threads <= 1) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
-  if (exec_options_.num_threads <= 1) return nullptr;
-  if (!exec_pool_) {
-    exec_pool_ = std::make_unique<ThreadPool>(exec_options_.num_threads - 1);
-  }
-  return exec_pool_.get();
+  std::unique_ptr<ThreadPool>& pool = exec_pools_[num_threads];
+  if (!pool) pool = std::make_unique<ThreadPool>(num_threads - 1);
+  return pool.get();
 }
 
 StatusOr<ResultSet> Database::Execute(const std::string& sql) {
@@ -125,29 +122,7 @@ StatusOr<ResultSet> Database::Execute(const std::string& sql, ReadView view,
   POLY_ASSIGN_OR_RETURN(PlanPtr plan, parser.Parse(sql));
   Optimizer optimizer(/*pruner=*/nullptr, this);
   plan = optimizer.Optimize(plan);
-
-  // Admission: one ticket per statement, held until the result is
-  // materialized. Its per-query budget node is threaded into ExecOptions so
-  // operator materializations charge the right leaf.
-  ExecOptions effective = opts;
-  resource::AdmissionTicket ticket;
-  if (auto* gov = resource_governor()) {
-    POLY_ASSIGN_OR_RETURN(ticket, gov->AdmitQuery(effective.workload_class));
-    effective.budget = ticket.budget();
-  }
-
-  QueryCompiler compiler(this, view, effective);
-  if (compiler.CanCompile(plan)) {
-    auto compiled = compiler.Execute(plan);
-    // NotImplemented = lowering bailed after the cheap eligibility check;
-    // anything else (including ResourceExhausted) is the query's verdict.
-    if (compiled.ok() ||
-        compiled.status().code() != StatusCode::kNotImplemented) {
-      return compiled;
-    }
-  }
-  Executor executor(this, view, effective);
-  return executor.Execute(plan);
+  return Executor(this, view, opts).Execute(plan);
 }
 
 size_t Database::MemoryBytes() const {

@@ -2,6 +2,7 @@
 #define POLY_STORAGE_DATABASE_H_
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -56,16 +57,16 @@ class Database {
   size_t MemoryBytes() const;
 
   /// Default execution options handed to every Executor constructed without
-  /// explicit options. Changing them drops the shared pool (rebuilt on
-  /// demand at the new width); do not call concurrently with running
-  /// queries.
+  /// explicit options and to Execute(sql).
   void set_exec_options(const ExecOptions& opts);
   ExecOptions exec_options() const;
 
-  /// Shared worker pool for parallel query execution, created on demand
-  /// with exec_options().num_threads - 1 workers (the query's calling
-  /// thread is the remaining runner). Null while the default is serial.
-  ThreadPool* exec_pool() const;
+  /// The worker pool every query with ExecOptions::num_threads ==
+  /// `num_threads` runs on: num_threads - 1 workers (the query's calling
+  /// thread is the remaining runner), created on first use and kept until
+  /// the database is destroyed. Concurrent queries with the same thread
+  /// count share its workers. Null when `num_threads` <= 1 (serial).
+  ThreadPool* exec_pool(size_t num_threads) const;
 
   /// Access observer fed by the executors after every partition scan. Null
   /// by default; set by the tiering daemon. The observer must outlive the
@@ -111,11 +112,11 @@ class Database {
     return governor_.load(std::memory_order_acquire);
   }
 
-  /// One-stop SQL entry point: parse -> optimize -> admission (when a
-  /// governor is attached) -> compiled engine when eligible, interpreted
-  /// executor otherwise. Reads at the latest committed snapshot unless a
-  /// view is given. ExecOptions::workload_class routes admission;
-  /// ResourceExhausted from admission or the query budget surfaces here.
+  /// One-stop SQL entry point: parse -> optimize -> Executor::Execute, which
+  /// admits the statement when a governor is attached and no budget is
+  /// given. Reads at the latest committed snapshot unless a view is given.
+  /// ExecOptions::workload_class routes admission; ResourceExhausted from
+  /// admission or the query budget surfaces here.
   StatusOr<ResultSet> Execute(const std::string& sql);
   StatusOr<ResultSet> Execute(const std::string& sql, const ExecOptions& opts);
   StatusOr<ResultSet> Execute(const std::string& sql, ReadView view,
@@ -126,7 +127,9 @@ class Database {
   std::unordered_map<std::string, std::shared_ptr<ColumnTable>> tables_;
   std::unordered_map<std::string, std::unique_ptr<RowTable>> row_tables_;
   ExecOptions exec_options_;
-  mutable std::unique_ptr<ThreadPool> exec_pool_;
+  /// exec_pool's pools by thread count; declared after the tables, so the
+  /// pools are joined before any table is freed.
+  mutable std::map<size_t, std::unique_ptr<ThreadPool>> exec_pools_;
   std::atomic<AccessObserver*> access_observer_{nullptr};
   std::atomic<TierResolver*> tier_resolver_{nullptr};
   std::atomic<metrics::Registry*> metrics_{&metrics::Default()};

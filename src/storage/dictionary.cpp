@@ -69,10 +69,13 @@ std::optional<uint64_t> DeltaDictionary::Lookup(const Value& v) const {
 }
 
 size_t DeltaDictionary::MemoryBytes() const {
+  // Reads only published values, so it may run beside the writer: the index
+  // holds one entry per value, and the snapshot's size stands in for its.
+  ChunkedVector<Value>::Snapshot snap = values_.Snap();
   size_t bytes = values_.MemoryBytes() +
-                 index_.size() * (sizeof(Value) + sizeof(uint64_t) + 16);
-  for (uint64_t i = 0; i < values_.WriterSize(); ++i) {
-    const Value& v = values_.WriterAt(i);
+                 snap.size() * (sizeof(Value) + sizeof(uint64_t) + 16);
+  for (uint64_t i = 0; i < snap.size(); ++i) {
+    const Value& v = snap[i];
     if (v.type() == DataType::kString || v.type() == DataType::kDocument) {
       bytes += v.AsString().capacity();
     }

@@ -84,6 +84,7 @@ class DeltaDictionary {
   /// whose ids it must cover; see Column::Reader).
   ChunkedVector<Value>::Snapshot Snap() const { return values_.Snap(); }
 
+  /// Reader-safe under a pin on the owning table's EpochGC.
   size_t MemoryBytes() const;
 
  private:

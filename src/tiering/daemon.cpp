@@ -128,7 +128,8 @@ StatusOr<EpochReport> TieringDaemon::RunEpoch() {
     s.partition = name;
     s.rule_aged = IsAgedPartition(name);
     s.heat = heat_.HeatOf(name);
-    auto resident = db_->GetTable(name);
+    // Pinned: a pressure spill may drop the partition while it is sized.
+    auto resident = db_->PinTable(name);
     if (resident.ok()) {
       s.residency = Residency::kHot;
       s.bytes = (*resident)->MemoryBytes();
@@ -328,7 +329,7 @@ uint64_t TieringDaemon::SpillForPressure(uint64_t bytes_to_free) {
   for (const Victim& v : victims) {
     if (freed >= bytes_to_free) break;
     std::lock_guard<std::mutex> move_lock(move_mu_);
-    auto resident = db_->GetTable(v.partition);
+    auto resident = db_->PinTable(v.partition);
     if (!resident.ok()) continue;  // raced an epoch demote; already gone
     uint64_t bytes = (*resident)->MemoryBytes();
     Status demoted = storage_->Demote(db_, v.partition);

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "query/executor.h"
 #include "query/optimizer.h"
 #include "query/sql_parser.h"
@@ -274,7 +273,6 @@ class FoldParallelOracle : public ::testing::TestWithParam<int> {
     ExecOptions opts;
     opts.num_threads = threads;
     opts.morsel_rows = morsel;
-    opts.pool = threads > 1 ? &pool_ : nullptr;
     opts.trace = true;
     Executor exec(&db_, tm_.AutoCommitView(), opts);
     auto rs = exec.Execute(plan);
@@ -311,7 +309,6 @@ class FoldParallelOracle : public ::testing::TestWithParam<int> {
 
   Database db_;
   TransactionManager tm_;
-  ThreadPool pool_{3};
 };
 
 TEST_P(FoldParallelOracle, FoldEqualsAggregateOverMaterializedInput) {

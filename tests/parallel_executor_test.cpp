@@ -6,8 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -230,45 +231,61 @@ TEST_F(ParallelExecutorTest, DatabaseDefaultOptionsUseSharedPool) {
   parallel_default.num_threads = 4;
   parallel_default.morsel_rows = 128;
   db_.set_exec_options(parallel_default);
-  ASSERT_NE(db_.exec_pool(), nullptr);
-  EXPECT_EQ(db_.exec_pool()->num_threads(), 3u);
+  ThreadPool* four = db_.exec_pool(4);
+  ASSERT_NE(four, nullptr);
+  EXPECT_EQ(four->num_threads(), 3u);
+  EXPECT_EQ(db_.exec_pool(1), nullptr);
 
   AggSpec total{AggFunc::kSum, Expr::Column(2), "total"};
   auto plan = PlanBuilder::Scan("orders").Aggregate({1}, {total}).Build();
-  // Default-constructed executor picks up the database options + pool.
+  // Default-constructed executor picks up the database options.
   Executor with_default(&db_, tm_.AutoCommitView());
   EXPECT_EQ(with_default.options().num_threads, 4u);
   auto rs_parallel = with_default.Execute(plan);
   ASSERT_TRUE(rs_parallel.ok());
 
   db_.set_exec_options(ExecOptions{});  // back to serial
-  EXPECT_EQ(db_.exec_pool(), nullptr);
+  // Changing the session default replaces no pool.
+  EXPECT_EQ(db_.exec_pool(4), four);
   Executor serial(&db_, tm_.AutoCommitView());
   auto rs_serial = serial.Execute(plan);
   ASSERT_TRUE(rs_serial.ok());
   ExpectSameResult(*rs_serial, *rs_parallel, "database-default options");
 }
 
-TEST_F(ParallelExecutorTest, ExternalPoolIsUsedAndNotOwned) {
-  ThreadPool pool(3);
-  ExecOptions opts;
-  opts.num_threads = 4;
-  opts.morsel_rows = 64;
-  opts.pool = &pool;
-  auto plan = PlanBuilder::Scan("orders").Build();
-  Executor serial(&db_, tm_.AutoCommitView());
-  auto rs_serial = serial.Execute(plan);
-  ASSERT_TRUE(rs_serial.ok());
-  for (int run = 0; run < 3; ++run) {
-    Executor parallel(&db_, tm_.AutoCommitView(), opts);
-    auto rs = parallel.Execute(plan);
-    ASSERT_TRUE(rs.ok());
-    ExpectSameResult(*rs_serial, *rs, "external pool run " + std::to_string(run));
+/// Threads of this process, read from /proc/self/task.
+size_t ProcessThreads() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
   }
-  // The external pool survives all executors and stays usable.
-  std::atomic<int> probe{0};
-  pool.ParallelFor(10, [&](size_t) { ++probe; });
-  EXPECT_EQ(probe.load(), 10);
+  return n;
+}
+
+TEST_F(ParallelExecutorTest, StatementsShareTheDatabasePool) {
+  ExecOptions session;
+  session.num_threads = 2;
+  db_.set_exec_options(session);
+  const std::string sql = "SELECT region, SUM(amount) AS total FROM orders GROUP BY region";
+  auto serial = db_.Execute(sql, ExecOptions{});
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+
+  // Every statement runs on the database's one 1-worker pool for two
+  // threads: the first statement starts its worker, and no statement
+  // starts or joins another. A thread started and joined first brings up
+  // any helper a runtime starts with the first thread (ThreadSanitizer's).
+  std::thread([] {}).join();
+  const size_t before = ProcessThreads();
+  for (int i = 0; i < 21; ++i) {
+    auto rs = db_.Execute(sql);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    ExpectSameResult(*serial, *rs, "statement " + std::to_string(i));
+    if (i == 0) {
+      EXPECT_EQ(ProcessThreads(), before + 1);
+    }
+  }
+  EXPECT_EQ(ProcessThreads(), before + 1);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 
 #include "aging/aging.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "docstore/json.h"
 #include "engines/graph/hierarchy.h"
 #include "engines/planning/planning.h"
@@ -374,7 +373,6 @@ TEST_P(ParallelOracle, RandomPlansSerialVsParallel) {
   // 8 seeds x 25 trials = 200 random (table, plan, parallel-config) triples.
   // Every failure message carries seed + trial for exact reproduction.
   Random rng(GetParam() * 7919);
-  ThreadPool pool(3);
   for (int trial = 0; trial < 25; ++trial) {
     std::string ctx = "seed=" + std::to_string(GetParam()) +
                       " trial=" + std::to_string(trial);
@@ -465,7 +463,6 @@ TEST_P(ParallelOracle, RandomPlansSerialVsParallel) {
     ExecOptions opts;
     opts.num_threads = 2 + rng.Uniform(7);
     opts.morsel_rows = 1 + rng.Uniform(static_cast<uint64_t>(n) + 8);
-    opts.pool = &pool;
     Executor parallel(&db, tm.AutoCommitView(), opts);
     auto got = parallel.Execute(plan);
     ASSERT_TRUE(got.ok()) << ctx << ": " << got.status().ToString();

@@ -821,6 +821,39 @@ TEST_F(TieringDaemonFixture, ConcurrentScansSurviveColdDemotion) {
   EXPECT_TRUE(db_.GetTable(PartName(5)).ok());
 }
 
+TEST_F(TieringDaemonFixture, EpochSizesHotPartitionBesideWriter) {
+  // Every epoch sizes each hot partition (ColumnTable::MemoryBytes) while a
+  // writer commits into it; a negative demote threshold keeps it hot, so
+  // each epoch reads its dictionaries beside the writer's appends.
+  auto opts = DaemonOpts();
+  opts.policy.demote_threshold = -1.0;
+  TieringDaemon daemon(&db_, &storage_, opts);
+  daemon.Manage(PartName(0));
+  ColumnTable* t = *db_.GetTable(PartName(0));
+
+  constexpr int kWrites = 3000;
+  std::atomic<bool> done{false};
+  std::atomic<int> failed_writes{0};
+  std::thread writer([&] {
+    for (int r = 0; r < kWrites; ++r) {
+      auto txn = tm_.Begin();
+      if (!tm_.Insert(txn.get(), t, {Value::Int(100000 + r), Value::Dbl(r * 0.5)}).ok() ||
+          !tm_.Commit(txn.get()).ok()) {
+        failed_writes.fetch_add(1);
+      }
+    }
+    done.store(true);
+  });
+  do {
+    auto report = daemon.RunEpoch();
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+  } while (!done.load());
+  writer.join();
+  EXPECT_EQ(failed_writes.load(), 0);
+  ASSERT_TRUE(db_.GetTable(PartName(0)).ok());  // stayed hot
+  EXPECT_EQ(t->Read().size(), static_cast<uint64_t>(kRowsPerPartition + kWrites));
+}
+
 TEST_F(TieringDaemonFixture, BackgroundThreadStartStop) {
   TieringDaemon daemon(&db_, &storage_, DaemonOpts());
   daemon.Manage(PartName(0));
